@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -55,6 +56,14 @@ from .rrg import (
 
 SCHEMA_VERSION = 1
 DEFAULT_TRUNC = 4
+MAX_SCENARIO_ORDER = 48
+
+# formula knobs: the allowed values, the default first
+_KNOBS = {
+    "weight": ("centralizer", "one", "inverted"),
+    "euler_factor": ("include", "omit"),
+    "inversion": ("dual", "direct"),
+}
 
 COMMANDS = (
     "inertia",
@@ -272,11 +281,20 @@ class Scenario:
         self.trunc = DEFAULT_TRUNC
 
 
+def _capped(order, pointer):
+    """Refuse a group order above the scenario cap, before any table exists."""
+    if order > MAX_SCENARIO_ORDER:
+        raise LoadError(
+            "group order exceeds the scenario cap of %d" % MAX_SCENARIO_ORDER, pointer
+        )
+
+
 def _load_group(name, body, ptr):
     body = _want(body, dict, ptr, "an object")
     try:
         if "table" in body:
             table = _want(body["table"], list, ptr + "/table", "a list of rows")
+            _capped(len(table), ptr + "/table")
             names = body.get("names")
             return FiniteGroup(table, names=names), None
         if "permutations" in body:
@@ -286,20 +304,19 @@ def _load_group(name, body, ptr):
             if not perms:
                 raise LoadError("need at least one generator", ptr + "/permutations")
             degree = len(_want(perms[0], list, ptr + "/permutations/0", "a list"))
-            group, order = FiniteGroup.from_generators(degree, perms)
-            return group, order
+            return FiniteGroup.from_generators(degree, perms, max_order=MAX_SCENARIO_ORDER)
         if "cyclic" in body:
-            return FiniteGroup.cyclic(_want_int(body["cyclic"], ptr + "/cyclic")), None
+            n = _want_int(body["cyclic"], ptr + "/cyclic")
+            _capped(n, ptr + "/cyclic")
+            return FiniteGroup.cyclic(n), None
         if "symmetric" in body:
-            return (
-                FiniteGroup.symmetric(_want_int(body["symmetric"], ptr + "/symmetric")),
-                None,
-            )
+            n = _want_int(body["symmetric"], ptr + "/symmetric")
+            _capped(math.factorial(min(max(n, 0), 5)), ptr + "/symmetric")
+            return FiniteGroup.symmetric(n), None
         if "dihedral" in body:
-            return (
-                FiniteGroup.dihedral(_want_int(body["dihedral"], ptr + "/dihedral")),
-                None,
-            )
+            n = _want_int(body["dihedral"], ptr + "/dihedral")
+            _capped(2 * n, ptr + "/dihedral")
+            return FiniteGroup.dihedral(n), None
         if "quaternion" in body:
             return FiniteGroup.quaternion(), None
     except LoadError:
@@ -482,6 +499,10 @@ def _load_model(body, ptr):
     roots = tuple(
         _parse_entry(z, "%s/lines/%d" % (ptr, i)) for i, z in enumerate(lines)
     )
+    for i, z in enumerate(roots):
+        # every root of unity in Q(zeta_n) has order dividing lcm(2, n)
+        if z.is_zero() or z ** math.lcm(2, z.order) != 1:
+            raise LoadError("model line is not a root of unity", "%s/lines/%d" % (ptr, i))
     trunc = body.get("trunc")
     if trunc is not None:
         trunc = _want_int(trunc, ptr + "/trunc")
@@ -557,6 +578,14 @@ def parse_scenario(data) -> Scenario:
     return sc
 
 
+def _knob(body, key, ptr):
+    allowed = _KNOBS[key]
+    value = body.get(key, allowed[0])
+    if not isinstance(value, str) or value not in allowed:
+        raise LoadError("%s must be one of: %s" % (key, ", ".join(allowed)), ptr + "/" + key)
+    return value
+
+
 def _load_block(sc, kind, body, ptr):
     body = _want(body, dict, ptr, "an object")
     out = {"label": body.get("label"), "pointer": ptr}
@@ -588,7 +617,7 @@ def _load_block(sc, kind, body, ptr):
         emb = _ref(sc.embeddings, body, "embedding", ptr)
         chart = _ref(sc.representations, body, "chart", ptr)
         cx = _ref(sc.complexes, body, "complex", ptr)
-        weight = body.get("weight", "centralizer")
+        weight = _knob(body, "weight", ptr)
         build = lambda trunc, e=emb, ch=chart, c=cx: IsoSpatialScenario(e, ch, c)
         out.update(build=build, weight=weight, trunc=None)
         _prevalidate(out, ptr)
@@ -599,7 +628,7 @@ def _load_block(sc, kind, body, ptr):
         cx = _ref(sc.complexes, body, "complex", ptr)
         incl = _inclusion_matrix(body, ambient, sub, ptr)
         trunc = body.get("trunc")
-        euler = body.get("euler_factor", "include")
+        euler = _knob(body, "euler_factor", ptr)
         build = lambda t, g=group, s=sub, a=ambient, m=incl, c=cx: ZeroSectionScenario(
             g, s, a, m, c, t
         )
@@ -612,7 +641,7 @@ def _load_block(sc, kind, body, ptr):
         cx = _ref(sc.complexes, body, "complex", ptr)
         incl = _inclusion_matrix(body, ambient, sub, ptr)
         trunc = body.get("trunc")
-        inversion = body.get("inversion", "dual")
+        inversion = _knob(body, "inversion", ptr)
         build = lambda t, e=emb, s=sub, a=ambient, m=incl, c=cx: GeneralScenario(
             e, s, a, m, c, t
         )

@@ -1,37 +1,252 @@
 """Finite groupoids and the bibundle calculus between them.
 
-Objects and arrows are integer indices; composition is a partial table
-``comp[(a, b)] = a o b`` defined exactly when ``source(a) == target(b)``
-(apply ``b`` first).  Morphisms between groupoids are generalized
-morphisms: a finite set carrying commuting left/right actions whose
-right quotient recovers the source objects.  On top of that sit graphs,
-embedding classification via the pullback comparison, factorization
-through the image, inertia groupoids, and the Morita decomposition of
-inertia for translation groupoids.
+Objects and arrows are integer indices, and every table is a flat NumPy
+integer array: ``source``, ``target`` and ``inverses`` per arrow,
+``units`` per object.  Composition ``a o b`` (apply ``b`` first) is
+defined exactly when ``source(a) == target(b)`` and has one slot per
+composable pair, in compressed rows: row ``b`` lists
+``arrows_from(target(b))`` in index order, so ``a o b`` sits at
+``row_start[b] + pos_out[a]``, where ``pos_out[a]`` is the place of ``a``
+in ``arrows_from(source(a))``.  Storage is the number of composable
+pairs, never a dense square table.  The left and right actions of a
+bibundle use the same layout with one row per carrier point.  ``comp``,
+``left`` and ``right`` are read-only mappings keyed by pairs
+(``comp[(a, b)]``, ``left[(g, z)]``, ``right[(z, h)]``); the
+constructors accept any such mapping, a dict included, and convert it
+once, and the internal constructors fill the rows by index arithmetic.
 
-Every constructed groupoid re-checks the axioms; the cubic check
-families (associativity of composition and of the two bibundle actions,
-and the commutation between them) run exhaustively up to
-`_TRIPLES_FULL` instances and switch to a seeded random sample beyond
-that, while all linear and quadratic checks stay exhaustive.  All
-enumerations are index ordered, so outputs are deterministic.
+Morphisms between groupoids are generalized morphisms: a finite set
+carrying commuting left/right actions whose right quotient recovers the
+source objects.  On top of that sit graphs, embedding classification
+via the pullback comparison, factorization through the image, inertia
+groupoids, and the Morita decomposition of inertia for translation
+groupoids.
+
+Every constructed groupoid and bibundle re-checks its axioms as whole
+array passes.  The cubic check families (associativity of composition
+and of the two bibundle actions, and the commutation between them) run
+exhaustively up to `_TRIPLES_FULL` instances, in bounded chunks, and
+switch to `_TRIPLES_SAMPLES` draws from a fixed seed beyond that; all
+linear and quadratic checks stay exhaustive.  A failing check names the
+first failing index.  All enumerations are index ordered, so outputs
+are deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from collections import Counter
+from collections.abc import Mapping
 
-from .groups import FiniteGroup, subgroup_embedding
+import numpy as np
+
+from .groups import subgroup_embedding
 
 MAX_ARROWS = 10000
 _TRIPLES_FULL = 500000
 _TRIPLES_SAMPLES = 20000
+_CHUNK = 1 << 16
+
+
+# -- flat index helpers -------------------------------------------------------
+
+
+def _ints(values):
+    """``values`` as a one-dimensional int64 array."""
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError("expected a flat list of indices")
+    return arr
+
+
+def _first(flags):
+    """Index of the first true entry of ``flags``, or -1."""
+    if not len(flags):
+        return -1
+    i = int(np.argmax(flags))
+    return i if flags[i] else -1
+
+
+def _raise_first(checks):
+    """Raise for the first index at which any check fails.
+
+    ``checks`` pairs flag arrays over the same indices with functions
+    that word the message; the earliest check failing at that index
+    names it.
+    """
+    i = _first(np.logical_or.reduce([flags for flags, _ in checks]))
+    if i >= 0:
+        for flags, message in checks:
+            if flags[i]:
+                raise ValueError(message(i))
+
+
+def _fan(keys, count):
+    """Group ``range(len(keys))`` by key: ``(start, order, pos)``.
+
+    Group ``k`` is ``order[start[k]:start[k + 1]]`` in index order and
+    ``pos[i]`` is the place of ``i`` in its group.
+    """
+    order = np.argsort(keys, kind="stable")
+    start = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=count), out=start[1:])
+    pos = np.empty(len(keys), dtype=np.int64)
+    pos[order] = np.arange(len(keys)) - start[keys[order]]
+    return start, order, pos
+
+
+def _spread(counts):
+    """``(parent, offset)`` enumerating ``range(counts[i])`` for each ``i``."""
+    parent = np.repeat(np.arange(len(counts)), counts)
+    offset = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
+    return parent, offset
+
+
+def _chunks(counts):
+    """``_spread(counts)`` in pieces of about `_CHUNK` entries."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _CHUNK, "right")))
+        parent, offset = _spread(counts[lo:hi])
+        yield parent + lo, offset
+        lo = hi
+
+
+def _check_triples(fan, keys, seed, holds, message):
+    """Check ``holds(s, t)`` on each slot ``s`` with each member ``t`` of
+    fan group ``keys[s]``: every such triple up to `_TRIPLES_FULL` of
+    them, else `_TRIPLES_SAMPLES` slots drawn with ``seed``, each with one
+    drawn member."""
+    start, order, _ = fan
+    first = start[keys]
+    counts = start[keys + 1] - first
+    if counts.sum() <= _TRIPLES_FULL:
+        for s, offset in _chunks(counts):
+            if not holds(s, order[first[s] + offset]).all():
+                raise ValueError(message)
+    else:
+        rng = np.random.default_rng(seed)
+        s = rng.integers(0, len(keys), _TRIPLES_SAMPLES)
+        s = s[counts[s] > 0]
+        if not holds(s, order[first[s] + rng.integers(0, counts[s])]).all():
+            raise ValueError(message)
+
+
+def _min_reach(images, starts):
+    """Smallest point reachable from each point along one-step ``images``.
+
+    Row ``i`` of ``images``, from ``starts[i]`` on, lists the images of
+    point ``i``; every row is non-empty.
+    """
+    label = np.arange(len(starts))
+    if not len(starts):
+        return label
+    while True:
+        nxt = np.minimum(label, np.minimum.reduceat(label[images], starts))
+        if (nxt == label).all():
+            return label
+        label = nxt
+
+
+def _orbits(action):
+    """Orbit index of each carrier point, orbits ordered by least member."""
+    reach = _min_reach(action.flat, action.rows.start[:-1])
+    return np.unique(reach, return_inverse=True)[1]
+
+
+def _orbit_anchor_fault(orbit, anchor, count):
+    """Why ``anchor`` fails to match orbits with ``range(count)``, or None."""
+    values, first = np.unique(anchor, return_index=True)
+    per_value = orbit[first]
+    if (orbit != per_value[np.searchsorted(values, anchor)]).any():
+        return "rho separates a right orbit"
+    if len(values) != count:
+        return "rho misses an object of the source"
+    if len(np.unique(per_value)) != len(np.unique(orbit)):
+        return "two right orbits share a rho value"
+    return None
+
+
+class _Rows:
+    """Compressed rows over a fan (see `_fan`), such as arrows by source.
+
+    Row ``r`` lists the members of fan group ``keys[r]`` in index order;
+    member ``c`` of row ``r`` has slot ``start[r] + pos[c]``, and ``row``
+    and ``col`` give each slot's row and member.
+    """
+
+    __slots__ = ("start", "row", "col", "pos")
+
+    def __init__(self, keys, fan):
+        fstart, order, self.pos = fan
+        first = fstart[keys]
+        lens = fstart[keys + 1] - first
+        self.row, offset = _spread(lens)
+        self.col = order[first[self.row] + offset]
+        self.start = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum(lens, out=self.start[1:])
+
+    def slot(self, r, c):
+        return self.start[r] + self.pos[c]
+
+
+class _Table(Mapping):
+    """Read-only mapping from pairs to indices, stored on compressed rows.
+
+    Keys are ``(col, row)`` pairs, or ``(row, col)`` when ``row_first``.
+    ``flat`` holds each slot's value, -1 where a converted mapping had no
+    entry, and ``extra`` counts the keys of that mapping that are not slots.
+    """
+
+    __slots__ = ("rows", "flat", "extra", "row_first")
+
+    def __init__(self, rows, values, row_first):
+        self.rows = rows
+        self.row_first = row_first
+        keys = (rows.row, rows.col) if row_first else (rows.col, rows.row)
+        if isinstance(values, Mapping):
+            get = values.get
+            pairs = zip(keys[0].tolist(), keys[1].tolist())
+            self.flat = np.fromiter(
+                (get(k, -1) for k in pairs), dtype=np.int64, count=len(rows.row)
+            )
+            self.extra = len(values) - int(np.count_nonzero(self.flat >= 0))
+        else:
+            self.flat = np.asarray(values(*keys), dtype=np.int64)
+            self.extra = 0
+
+    def at(self, x, y):
+        """Vectorized lookup of the keys ``zip(x, y)``, all slots."""
+        r, c = (x, y) if self.row_first else (y, x)
+        return self.flat[self.rows.slot(r, c)]
+
+    def __getitem__(self, key):
+        x, y = key
+        r, c = (x, y) if self.row_first else (y, x)
+        rows = self.rows
+        if 0 <= r < len(rows.start) - 1 and 0 <= c < len(rows.pos):
+            s = rows.slot(r, c)
+            if s < rows.start[r + 1] and rows.col[s] == c and self.flat[s] >= 0:
+                return int(self.flat[s])
+        raise KeyError(key)
+
+    def __iter__(self):
+        defined = self.flat >= 0
+        rows = self.rows.row[defined].tolist()
+        cols = self.rows.col[defined].tolist()
+        return zip(rows, cols) if self.row_first else zip(cols, rows)
+
+    def __len__(self):
+        return int(np.count_nonzero(self.flat >= 0))
 
 
 class FiniteGroupoid:
-    """A finite groupoid as explicit source/target/composition tables."""
+    """A finite groupoid as explicit source/target/composition tables.
+
+    ``comp`` is a mapping ``{(a, b): a o b}`` over the composable pairs, or
+    a function taking the arrays of left and right factors of all
+    composable pairs, in row order, and returning their composites.
+    """
 
     __slots__ = (
         "num_objects",
@@ -43,8 +258,8 @@ class FiniteGroupoid:
         "inverses",
         "object_labels",
         "arrow_labels",
-        "_by_source",
-        "_by_target",
+        "_out",
+        "_in",
     )
 
     def __init__(
@@ -60,23 +275,19 @@ class FiniteGroupoid:
         check=True,
     ):
         self.num_objects = int(num_objects)
-        self.source = tuple(source)
-        self.target = tuple(target)
+        self.source = _ints(source)
+        self.target = _ints(target)
         self.num_arrows = len(self.source)
         if self.num_arrows > MAX_ARROWS:
             raise ValueError("at most %d arrows are supported" % MAX_ARROWS)
-        self.comp = dict(comp)
-        self.units = tuple(units)
-        self.inverses = tuple(inverses)
+        self.units = _ints(units)
+        self.inverses = _ints(inverses)
         self.object_labels = tuple(object_labels) if object_labels is not None else None
         self.arrow_labels = tuple(arrow_labels) if arrow_labels is not None else None
-        by_source = [[] for _ in range(self.num_objects)]
-        by_target = [[] for _ in range(self.num_objects)]
-        for a in range(self.num_arrows):
-            by_source[self.source[a]].append(a)
-            by_target[self.target[a]].append(a)
-        self._by_source = tuple(tuple(v) for v in by_source)
-        self._by_target = tuple(tuple(v) for v in by_target)
+        self._check_shape()
+        self._out = _fan(self.source, self.num_objects)
+        self._in = _fan(self.target, self.num_objects)
+        self.comp = _Table(_Rows(self.target, self._out), comp, row_first=False)
         if check:
             self.validate()
 
@@ -90,90 +301,91 @@ class FiniteGroupoid:
             raise ValueError("arrows %d and %d are not composable" % (a, b))
 
     def inv(self, a):
-        return self.inverses[a]
+        return int(self.inverses[a])
 
     def unit(self, x):
-        return self.units[x]
+        return int(self.units[x])
 
     def arrows_from(self, x):
-        return self._by_source[x]
+        start, order, _ = self._out
+        return tuple(order[start[x]:start[x + 1]].tolist())
 
     def arrows_into(self, x):
-        return self._by_target[x]
+        start, order, _ = self._in
+        return tuple(order[start[x]:start[x + 1]].tolist())
 
     def arrows_between(self, x, y):
-        return tuple(a for a in self._by_source[x] if self.target[a] == y)
+        start, order, _ = self._out
+        out = order[start[x]:start[x + 1]]
+        return tuple(out[self.target[out] == y].tolist())
 
     def loop_arrows(self):
         """Arrows with equal source and target, in index order."""
-        return tuple(a for a in range(self.num_arrows) if self.source[a] == self.target[a])
+        return tuple(np.flatnonzero(self.source == self.target).tolist())
 
     def is_loop(self, a):
-        return self.source[a] == self.target[a]
+        return bool(self.source[a] == self.target[a])
 
     # -- axioms ----------------------------------------------------------
 
-    def validate(self):
+    def _check_shape(self):
         n, m = self.num_objects, self.num_arrows
         if len(self.target) != m or len(self.inverses) != m or len(self.units) != n:
             raise ValueError("table sizes are inconsistent")
-        for a in range(m):
-            if not (0 <= self.source[a] < n and 0 <= self.target[a] < n):
-                raise ValueError("arrow %d has an endpoint out of range" % a)
-        pairs = []
-        for b in range(m):
-            for a in self._by_source[self.target[b]]:
-                pairs.append((a, b))
-        if len(self.comp) != len(pairs):
+        s, t = self.source, self.target
+        a = _first((s < 0) | (s >= n) | (t < 0) | (t >= n))
+        if a >= 0:
+            raise ValueError("arrow %d has an endpoint out of range" % a)
+
+    def validate(self):
+        self._check_shape()
+        n, m = self.num_objects, self.num_arrows
+        S, T, U, I = self.source, self.target, self.units, self.inverses
+        comp = self.comp
+        rows, C = comp.rows, comp.flat
+        missing = C < 0
+        if comp.extra != np.count_nonzero(missing):
             raise ValueError("composition is not defined exactly on composable pairs")
-        for a, b in pairs:
-            c = self.comp.get((a, b))
-            if c is None:
-                raise ValueError("missing composite for composable pair (%d, %d)" % (a, b))
-            if self.source[c] != self.source[b] or self.target[c] != self.target[a]:
-                raise ValueError("composite (%d, %d) has wrong endpoints" % (a, b))
-        for x in range(n):
-            u = self.units[x]
-            if self.source[u] != x or self.target[u] != x:
-                raise ValueError("unit of object %d is not a loop there" % x)
-        for a in range(m):
-            if self.comp[(a, self.units[self.source[a]])] != a:
-                raise ValueError("right unit law fails at arrow %d" % a)
-            if self.comp[(self.units[self.target[a]], a)] != a:
-                raise ValueError("left unit law fails at arrow %d" % a)
-            ai = self.inverses[a]
-            if self.source[ai] != self.target[a] or self.target[ai] != self.source[a]:
-                raise ValueError("inverse of arrow %d has wrong endpoints" % a)
-            if self.comp[(a, ai)] != self.units[self.target[a]]:
-                raise ValueError("arrow %d composed with its inverse is not a unit" % a)
-            if self.comp[(ai, a)] != self.units[self.source[a]]:
-                raise ValueError("inverse of arrow %d is only one-sided" % a)
-        fan_in = [len(self._by_source[self.target[b]]) for b in range(m)]
-        fan_by_object = [0] * n
-        for b in range(m):
-            fan_by_object[self.source[b]] += fan_in[b]
-        total_triples = sum(fan_by_object[self.target[c]] for c in range(m))
-        if total_triples <= _TRIPLES_FULL:
-            triples = (
-                (a, b, c)
-                for c in range(m)
-                for b in self._by_source[self.target[c]]
-                for a in self._by_source[self.target[b]]
-            )
-        else:
-            rng = random.Random(0x5EED ^ m)
-            pool = []
-            for _ in range(_TRIPLES_SAMPLES):
-                c = rng.randrange(m)
-                bs = self._by_source[self.target[c]]
-                b = bs[rng.randrange(len(bs))]
-                as_ = self._by_source[self.target[b]]
-                a = as_[rng.randrange(len(as_))]
-                pool.append((a, b, c))
-            triples = pool
-        for a, b, c in triples:
-            if self.comp[(self.comp[(a, b)], c)] != self.comp[(a, self.comp[(b, c)])]:
-                raise ValueError("composition is not associative")
+        ok = ~missing & (C < m)
+        wrong = ~ok & ~missing
+        wrong[ok] = (S[C[ok]] != S[rows.row[ok]]) | (T[C[ok]] != T[rows.col[ok]])
+        pair = lambda s: (rows.col[s], rows.row[s])
+        _raise_first([
+            (missing, lambda s: "missing composite for composable pair (%d, %d)" % pair(s)),
+            (wrong, lambda s: "composite (%d, %d) has wrong endpoints" % pair(s)),
+        ])
+        objs = np.arange(n)
+        ok = (U >= 0) & (U < m)
+        bad = ~ok
+        bad[ok] = (S[U[ok]] != objs[ok]) | (T[U[ok]] != objs[ok])
+        x = _first(bad)
+        if x >= 0:
+            raise ValueError("unit of object %d is not a loop there" % x)
+        arrows = np.arange(m)
+        ok = (I >= 0) & (I < m)
+        inv_bad = ~ok
+        inv_bad[ok] = (S[I[ok]] != T[ok]) | (T[I[ok]] != S[ok])
+        ok = ~inv_bad
+        a, ai = arrows[ok], I[ok]
+        not_unit = np.zeros(m, dtype=bool)
+        not_unit[ok] = comp.at(a, ai) != U[T[a]]
+        one_sided = np.zeros(m, dtype=bool)
+        one_sided[ok] = comp.at(ai, a) != U[S[a]]
+        _raise_first([
+            (comp.at(arrows, U[S]) != arrows, lambda a: "right unit law fails at arrow %d" % a),
+            (comp.at(U[T], arrows) != arrows, lambda a: "left unit law fails at arrow %d" % a),
+            (inv_bad, lambda a: "inverse of arrow %d has wrong endpoints" % a),
+            (not_unit, lambda a: "arrow %d composed with its inverse is not a unit" % a),
+            (one_sided, lambda a: "inverse of arrow %d is only one-sided" % a),
+        ])
+        # (a o b) o c against a o (b o c): slot (b, c), a from target(b)
+        _check_triples(
+            self._out,
+            T[rows.col],
+            0x5EED ^ m,
+            lambda s, a: comp.at(comp.at(a, rows.col[s]), rows.row[s]) == comp.at(a, C[s]),
+            "composition is not associative",
+        )
         return True
 
     # -- constructors ----------------------------------------------------
@@ -182,12 +394,12 @@ class FiniteGroupoid:
     def from_group(group):
         """One object whose arrows are the group elements."""
         n = group.size
-        comp = {(a, b): group.mul(a, b) for a in range(n) for b in range(n)}
+        mul = np.array(group.table, dtype=np.int64).reshape(n, n)
         return FiniteGroupoid(
             1,
-            [0] * n,
-            [0] * n,
-            comp,
+            np.zeros(n, dtype=np.int64),
+            np.zeros(n, dtype=np.int64),
+            lambda a, b: mul[a, b],
             [group.identity],
             group.inverses,
             arrow_labels=group.names if group.names is not None else tuple(range(n)),
@@ -201,105 +413,84 @@ class FiniteGroupoid:
         runs from ``x`` to ``g . x``.
         """
         p = int(num_points)
+        n = group.size
         images = tuple(tuple(row) for row in images)
-        if len(images) != group.size or any(len(row) != p for row in images):
+        if len(images) != n or any(len(row) != p for row in images):
             raise ValueError("need one image row of length %d per group element" % p)
-        for row in images:
-            if sorted(row) != list(range(p)):
-                raise ValueError("not an action: some element does not permute the points")
-        if images[group.identity] != tuple(range(p)):
+        img = np.array(images, dtype=np.int64).reshape(n, p)
+        points = np.arange(p)
+        if (np.sort(img, axis=1) != points).any():
+            raise ValueError("not an action: some element does not permute the points")
+        if (img[group.identity] != points).any():
             raise ValueError("not an action: identity moves a point")
-        for g in range(group.size):
-            for h in range(group.size):
-                gh = group.mul(g, h)
-                for x in range(p):
-                    if images[g][images[h][x]] != images[gh][x]:
-                        raise ValueError("not an action: composition fails")
-        m = group.size * p
-        source = [0] * m
-        target = [0] * m
-        labels = [None] * m
-        for g in range(group.size):
-            for x in range(p):
-                a = g * p + x
-                source[a] = x
-                target[a] = images[g][x]
-                labels[a] = (g, x)
-        comp = {}
-        for g2 in range(group.size):
-            for g1 in range(group.size):
-                g21 = group.mul(g2, g1)
-                for x in range(p):
-                    comp[(g2 * p + images[g1][x], g1 * p + x)] = g21 * p + x
-        units = [group.identity * p + x for x in range(p)]
-        inverses = [0] * m
-        for g in range(group.size):
-            gi = group.inverses[g]
-            for x in range(p):
-                inverses[g * p + x] = gi * p + images[g][x]
+        mul = np.array(group.table, dtype=np.int64).reshape(n, n)
+        if (img[:, img] != img[mul]).any():
+            raise ValueError("not an action: composition fails")
+
+        def comp(a, b):
+            g1, x = np.divmod(b, p)
+            return mul[a // p, g1] * p + x
+
         return FiniteGroupoid(
-            p, source, target, comp, units, inverses,
-            object_labels=tuple(range(p)), arrow_labels=labels,
+            p,
+            np.tile(points, n),
+            img.ravel(),
+            comp,
+            group.identity * p + points,
+            (np.array(group.inverses, dtype=np.int64)[:, None] * p + img).ravel(),
+            object_labels=range(p),
+            arrow_labels=[(g, x) for g in range(n) for x in range(p)],
         )
 
     @staticmethod
     def product(a, b):
         """Product groupoid; pairs are flattened row-major."""
-        no = a.num_objects * b.num_objects
-        source = []
-        target = []
-        for p in range(a.num_arrows):
-            for q in range(b.num_arrows):
-                source.append(a.source[p] * b.num_objects + b.source[q])
-                target.append(a.target[p] * b.num_objects + b.target[q])
-        comp = {}
-        for (p1, p2), c1 in a.comp.items():
-            for (q1, q2), c2 in b.comp.items():
-                comp[(p1 * b.num_arrows + q1, p2 * b.num_arrows + q2)] = (
-                    c1 * b.num_arrows + c2
-                )
-        units = [
-            a.units[x] * b.num_arrows + b.units[y]
-            for x in range(a.num_objects)
-            for y in range(b.num_objects)
-        ]
-        inverses = [
-            a.inverses[p] * b.num_arrows + b.inverses[q]
-            for p in range(a.num_arrows)
-            for q in range(b.num_arrows)
-        ]
-        return FiniteGroupoid(no, source, target, comp, units, inverses)
+        nb, mb = b.num_objects, b.num_arrows
+        if a.num_arrows * mb > MAX_ARROWS:
+            raise ValueError("at most %d arrows are supported" % MAX_ARROWS)
+
+        def pairs(x, y, k):
+            return (x[:, None] * k + y[None, :]).ravel()
+
+        def comp(p, q):
+            p1, q1 = np.divmod(p, mb)
+            p2, q2 = np.divmod(q, mb)
+            return a.comp.at(p1, p2) * mb + b.comp.at(q1, q2)
+
+        return FiniteGroupoid(
+            a.num_objects * nb,
+            pairs(a.source, b.source, nb),
+            pairs(a.target, b.target, nb),
+            comp,
+            pairs(a.units, b.units, mb),
+            pairs(a.inverses, b.inverses, mb),
+        )
 
     def full_subgroupoid(self, objects):
         """Restrict to ``objects``; returns the piece and its inclusion."""
-        objs = sorted(set(objects))
+        objs = sorted({int(x) for x in objects})
         if any(not 0 <= x < self.num_objects for x in objs):
             raise ValueError("object out of range")
-        obj_set = set(objs)
-        obj_index = {x: i for i, x in enumerate(objs)}
-        arrs = [
-            a
-            for a in range(self.num_arrows)
-            if self.source[a] in obj_set and self.target[a] in obj_set
-        ]
-        arr_index = {a: i for i, a in enumerate(arrs)}
-        source = [obj_index[self.source[a]] for a in arrs]
-        target = [obj_index[self.target[a]] for a in arrs]
-        comp = {}
-        for i, a in enumerate(arrs):
-            for b in arrs:
-                if self.source[a] == self.target[b]:
-                    comp[(i, arr_index[b])] = arr_index[self.comp[(a, b)]]
-        units = [arr_index[self.units[x]] for x in objs]
-        inverses = [arr_index[self.inverses[a]] for a in arrs]
+        keep = np.zeros(self.num_objects, dtype=bool)
+        keep[objs] = True
+        obj_index = np.cumsum(keep) - 1
+        arrs = np.flatnonzero(keep[self.source] & keep[self.target])
+        arr_index = np.full(self.num_arrows, -1, dtype=np.int64)
+        arr_index[arrs] = np.arange(len(arrs))
         labels = None
         if self.arrow_labels is not None:
-            labels = [self.arrow_labels[a] for a in arrs]
+            labels = [self.arrow_labels[a] for a in arrs.tolist()]
         sub = FiniteGroupoid(
-            len(objs), source, target, comp, units, inverses,
-            object_labels=objs, arrow_labels=labels,
+            len(objs),
+            obj_index[self.source[arrs]],
+            obj_index[self.target[arrs]],
+            lambda a, b: arr_index[self.comp.at(arrs[a], arrs[b])],
+            arr_index[self.units[objs]],
+            arr_index[self.inverses[arrs]],
+            object_labels=objs,
+            arrow_labels=labels,
         )
-        incl = StrictFunctor(sub, self, objs, arrs)
+        incl = StrictFunctor(sub, self, objs, arrs.tolist())
         return sub, incl
 
 
@@ -320,18 +511,25 @@ class StrictFunctor:
         g, h = self.src, self.dst
         if len(self.obj_map) != g.num_objects or len(self.arr_map) != g.num_arrows:
             raise ValueError("functor tables have the wrong size")
-        for a in range(g.num_arrows):
-            fa = self.arr_map[a]
-            if self.obj_map[g.source[a]] != h.source[fa]:
-                raise ValueError("functor breaks sources at arrow %d" % a)
-            if self.obj_map[g.target[a]] != h.target[fa]:
-                raise ValueError("functor breaks targets at arrow %d" % a)
-        for x in range(g.num_objects):
-            if self.arr_map[g.units[x]] != h.units[self.obj_map[x]]:
-                raise ValueError("functor breaks the unit at object %d" % x)
-        for (a, b), c in g.comp.items():
-            if h.comp[(self.arr_map[a], self.arr_map[b])] != self.arr_map[c]:
-                raise ValueError("functor breaks composition at (%d, %d)" % (a, b))
+        obj, arr = _ints(self.obj_map), _ints(self.arr_map)
+        ok = (arr >= 0) & (arr < h.num_arrows)
+        bad_source = ~ok
+        bad_source[ok] = obj[g.source[ok]] != h.source[arr[ok]]
+        bad_target = np.zeros(g.num_arrows, dtype=bool)
+        bad_target[ok] = obj[g.target[ok]] != h.target[arr[ok]]
+        _raise_first([
+            (bad_source, lambda a: "functor breaks sources at arrow %d" % a),
+            (bad_target, lambda a: "functor breaks targets at arrow %d" % a),
+        ])
+        x = _first(arr[g.units] != h.units[obj])
+        if x >= 0:
+            raise ValueError("functor breaks the unit at object %d" % x)
+        rows, c = g.comp.rows, g.comp.flat
+        s = _first(h.comp.at(arr[rows.col], arr[rows.row]) != arr[c])
+        if s >= 0:
+            raise ValueError(
+                "functor breaks composition at (%d, %d)" % (rows.col[s], rows.row[s])
+            )
         return True
 
     @staticmethod
@@ -366,7 +564,9 @@ class GeneralizedMorphism:
     ``src.target[g]``; ``right[(z, h)]`` is defined exactly when
     ``dst.target[h] == sigma[z]`` and moves sigma to ``dst.source[h]``.
     The right action is free and ``rho`` identifies right orbits with
-    src objects.
+    src objects.  ``left`` and ``right`` are given as mappings or as
+    functions of the key arrays ``(g, z)`` and ``(z, h)`` of all their
+    slots, in row order.
     """
 
     __slots__ = ("src", "dst", "size", "rho", "sigma", "left", "right", "labels")
@@ -374,182 +574,122 @@ class GeneralizedMorphism:
     def __init__(self, src, dst, rho, sigma, left, right, labels=None, check=True):
         self.src = src
         self.dst = dst
-        self.rho = tuple(rho)
-        self.sigma = tuple(sigma)
+        self.rho = _ints(rho)
+        self.sigma = _ints(sigma)
         self.size = len(self.rho)
-        self.left = dict(left)
-        self.right = dict(right)
         self.labels = tuple(labels) if labels is not None else None
+        self._check_anchors()
+        self.left = _Table(_Rows(self.rho, src._out), left, row_first=False)
+        self.right = _Table(_Rows(self.sigma, dst._in), right, row_first=True)
         if check:
             self.validate()
 
     # -- invariants -------------------------------------------------------
 
-    def validate(self):
-        g, h = self.src, self.dst
+    def _check_anchors(self):
         if len(self.sigma) != self.size:
             raise ValueError("anchor maps have different lengths")
-        for z in range(self.size):
-            if not 0 <= self.rho[z] < g.num_objects:
-                raise ValueError("rho out of range at %d" % z)
-            if not 0 <= self.sigma[z] < h.num_objects:
-                raise ValueError("sigma out of range at %d" % z)
-        count = 0
-        for z in range(self.size):
-            for a in g.arrows_from(self.rho[z]):
-                z2 = self.left.get((a, z))
-                if z2 is None:
-                    raise ValueError("left action undefined for arrow %d at %d" % (a, z))
-                if self.rho[z2] != g.target[a] or self.sigma[z2] != self.sigma[z]:
-                    raise ValueError("left action breaks anchors at (%d, %d)" % (a, z))
-                count += 1
-        if count != len(self.left):
+        rho, sigma = self.rho, self.sigma
+        _raise_first([
+            ((rho < 0) | (rho >= self.src.num_objects), lambda z: "rho out of range at %d" % z),
+            ((sigma < 0) | (sigma >= self.dst.num_objects),
+             lambda z: "sigma out of range at %d" % z),
+        ])
+
+    def _faults(self, action, lands, arrow_end, keeps):
+        """Missing and anchor-breaking slots of one action: the slot of
+        arrow ``c`` at ``z`` must land where ``lands`` is ``arrow_end[c]``
+        and ``keeps`` is as at ``z``."""
+        rows, w = action.rows, action.flat
+        missing = w < 0
+        ok = ~missing & (w < self.size)
+        broken = ~ok & ~missing
+        broken[ok] = (lands[w[ok]] != arrow_end[rows.col[ok]]) | (
+            keeps[w[ok]] != keeps[rows.row[ok]]
+        )
+        return missing, broken
+
+    def validate(self):
+        self._check_anchors()
+        g, h = self.src, self.dst
+        rho, sigma, size = self.rho, self.sigma, self.size
+        left, right = self.left, self.right
+
+        rows, rrows = left.rows, right.rows
+        missing, broken = self._faults(left, rho, g.target, sigma)
+        _raise_first([
+            (missing, lambda s: "left action undefined for arrow %d at %d"
+             % (rows.col[s], rows.row[s])),
+            (broken, lambda s: "left action breaks anchors at (%d, %d)"
+             % (rows.col[s], rows.row[s])),
+        ])
+        if left.extra:
             raise ValueError("left action defined on non-composable pairs")
-        count = 0
-        for z in range(self.size):
-            for b in h.arrows_into(self.sigma[z]):
-                z2 = self.right.get((z, b))
-                if z2 is None:
-                    raise ValueError("right action undefined for arrow %d at %d" % (b, z))
-                if self.sigma[z2] != h.source[b] or self.rho[z2] != self.rho[z]:
-                    raise ValueError("right action breaks anchors at (%d, %d)" % (z, b))
-                count += 1
-        if count != len(self.right):
+        missing, broken = self._faults(right, sigma, h.source, rho)
+        _raise_first([
+            (missing, lambda s: "right action undefined for arrow %d at %d"
+             % (rrows.col[s], rrows.row[s])),
+            (broken, lambda s: "right action breaks anchors at (%d, %d)"
+             % (rrows.row[s], rrows.col[s])),
+        ])
+        if right.extra:
             raise ValueError("right action defined on non-composable pairs")
-        for z in range(self.size):
-            if self.left[(g.units[self.rho[z]], z)] != z:
-                raise ValueError("left unit moves carrier point %d" % z)
-            if self.right[(z, h.units[self.sigma[z]])] != z:
-                raise ValueError("right unit moves carrier point %d" % z)
-        rho_fibers = [[] for _ in range(g.num_objects)]
-        sigma_fibers = [[] for _ in range(h.num_objects)]
-        for z in range(self.size):
-            rho_fibers[self.rho[z]].append(z)
-            sigma_fibers[self.sigma[z]].append(z)
 
-        total = sum(len(rho_fibers[g.source[a1]]) for _, a1 in g.comp)
-        if total <= _TRIPLES_FULL:
-            for (a2, a1), c in g.comp.items():
-                for z in rho_fibers[g.source[a1]]:
-                    if self.left[(a2, self.left[(a1, z)])] != self.left[(c, z)]:
-                        raise ValueError("left action is not associative")
-        else:
-            rng = random.Random(0xB1B ^ self.size)
-            keys = list(g.comp)
-            for _ in range(_TRIPLES_SAMPLES):
-                a2, a1 = keys[rng.randrange(len(keys))]
-                fiber = rho_fibers[g.source[a1]]
-                if not fiber:
-                    continue
-                z = fiber[rng.randrange(len(fiber))]
-                if self.left[(a2, self.left[(a1, z)])] != self.left[(g.comp[(a2, a1)], z)]:
-                    raise ValueError("left action is not associative")
-        total = sum(len(sigma_fibers[h.target[b1]]) for b1, _ in h.comp)
-        if total <= _TRIPLES_FULL:
-            for (b1, b2), c in h.comp.items():
-                for z in sigma_fibers[h.target[b1]]:
-                    if self.right[(self.right[(z, b1)], b2)] != self.right[(z, c)]:
-                        raise ValueError("right action is not associative")
-        else:
-            rng = random.Random(0xB1B2 ^ self.size)
-            keys = list(h.comp)
-            for _ in range(_TRIPLES_SAMPLES):
-                b1, b2 = keys[rng.randrange(len(keys))]
-                fiber = sigma_fibers[h.target[b1]]
-                if not fiber:
-                    continue
-                z = fiber[rng.randrange(len(fiber))]
-                if self.right[(self.right[(z, b1)], b2)] != self.right[(z, h.comp[(b1, b2)])]:
-                    raise ValueError("right action is not associative")
-        total = sum(len(h.arrows_into(self.sigma[z])) for _, z in self.left)
-        if total <= _TRIPLES_FULL:
-            for (a, z), z2 in self.left.items():
-                for b in h.arrows_into(self.sigma[z]):
-                    if self.right[(z2, b)] != self.left[(a, self.right[(z, b)])]:
-                        raise ValueError("the two actions do not commute")
-        else:
-            rng = random.Random(0xC0A ^ self.size)
-            keys = list(self.left)
-            for _ in range(_TRIPLES_SAMPLES):
-                a, z = keys[rng.randrange(len(keys))]
-                into = h.arrows_into(self.sigma[z])
-                if not into:
-                    continue
-                b = into[rng.randrange(len(into))]
-                if self.right[(self.left[(a, z)], b)] != self.left[(a, self.right[(z, b)])]:
-                    raise ValueError("the two actions do not commute")
-        for (z, b), z2 in self.right.items():
-            if z2 == z and b != h.units[self.sigma[z]]:
-                raise ValueError("right action is not free at %d" % z)
-        orbit = self._right_orbits()
-        seen = {}
-        for z in range(self.size):
-            x = self.rho[z]
-            if x in seen:
-                if seen[x] != orbit[z]:
-                    raise ValueError("rho separates a right orbit")
-            else:
-                seen[x] = orbit[z]
-        if len(seen) != g.num_objects:
-            raise ValueError("rho misses an object of the source")
-        if len(set(seen.values())) != len(set(orbit)):
-            raise ValueError("two right orbits share a rho value")
+        points = np.arange(size)
+        _raise_first([
+            (left.at(g.units[rho], points) != points,
+             lambda z: "left unit moves carrier point %d" % z),
+            (right.at(points, h.units[sigma]) != points,
+             lambda z: "right unit moves carrier point %d" % z),
+        ])
+
+        gc, hc = g.comp, h.comp
+        # (a2 o a1) . z against a2 . (a1 . z): slot (a2, a1), z over rho
+        _check_triples(
+            _fan(rho, g.num_objects),
+            g.source[gc.rows.row],
+            0xB1B ^ size,
+            lambda s, z: left.at(gc.rows.col[s], left.at(gc.rows.row[s], z))
+            == left.at(gc.flat[s], z),
+            "left action is not associative",
+        )
+        # z . (b1 o b2) against (z . b1) . b2: slot (b1, b2), z over sigma
+        _check_triples(
+            _fan(sigma, h.num_objects),
+            h.target[hc.rows.col],
+            0xB1B2 ^ size,
+            lambda s, z: right.at(right.at(z, hc.rows.col[s]), hc.rows.row[s])
+            == right.at(z, hc.flat[s]),
+            "right action is not associative",
+        )
+        # (a . z) . b against a . (z . b): slot (a, z), b into sigma(z)
+        _check_triples(
+            h._in,
+            sigma[rows.row],
+            0xC0A ^ size,
+            lambda s, b: right.at(left.flat[s], b)
+            == left.at(rows.col[s], right.at(rows.row[s], b)),
+            "the two actions do not commute",
+        )
+
+        s = _first((right.flat == rrows.row) & (rrows.col != h.units[sigma[rrows.row]]))
+        if s >= 0:
+            raise ValueError("right action is not free at %d" % rrows.row[s])
+        fault = _orbit_anchor_fault(_orbits(right), rho, g.num_objects)
+        if fault is not None:
+            raise ValueError(fault)
         return True
-
-    def _right_orbits(self):
-        orbit = [-1] * self.size
-        nxt = 0
-        for z0 in range(self.size):
-            if orbit[z0] != -1:
-                continue
-            orbit[z0] = nxt
-            stack = [z0]
-            while stack:
-                z = stack.pop()
-                for b in self.dst.arrows_into(self.sigma[z]):
-                    w = self.right[(z, b)]
-                    if orbit[w] == -1:
-                        orbit[w] = nxt
-                        stack.append(w)
-            nxt += 1
-        return orbit
-
-    def _left_orbits(self):
-        orbit = [-1] * self.size
-        nxt = 0
-        for z0 in range(self.size):
-            if orbit[z0] != -1:
-                continue
-            orbit[z0] = nxt
-            stack = [z0]
-            while stack:
-                z = stack.pop()
-                for a in self.src.arrows_from(self.rho[z]):
-                    w = self.left[(a, z)]
-                    if orbit[w] == -1:
-                        orbit[w] = nxt
-                        stack.append(w)
-            nxt += 1
-        return orbit
 
     def is_morita(self):
         """True when the bibundle is principal on both sides."""
         self.validate()
-        for (a, z), z2 in self.left.items():
-            if z2 == z and a != self.src.units[self.rho[z]]:
-                return False
-        if len(set(self.sigma)) != self.dst.num_objects:
+        rows, w = self.left.rows, self.left.flat
+        if ((w == rows.row) & (rows.col != self.src.units[self.rho[rows.row]])).any():
             return False
-        orbit = self._left_orbits()
-        seen = {}
-        for z in range(self.size):
-            y = self.sigma[z]
-            if y in seen:
-                if seen[y] != orbit[z]:
-                    return False
-            else:
-                seen[y] = orbit[z]
-        return len(set(seen.values())) == len(set(orbit))
+        if len(np.unique(self.sigma)) != self.dst.num_objects:
+            return False
+        orbit = _orbits(self.left)
+        return _orbit_anchor_fault(orbit, self.sigma, self.dst.num_objects) is None
 
     # -- constructors -------------------------------------------------------
 
@@ -557,21 +697,19 @@ class GeneralizedMorphism:
     def from_functor(functor):
         """Comma bibundle of a strict functor."""
         g, h = functor.src, functor.dst
-        carrier = []
-        for x in range(g.num_objects):
-            for b in h.arrows_into(functor.obj_map[x]):
-                carrier.append((x, b))
-        index = {zw: i for i, zw in enumerate(carrier)}
-        rho = [x for x, _ in carrier]
-        sigma = [h.source[b] for _, b in carrier]
-        left = {}
-        right = {}
-        for i, (x, b) in enumerate(carrier):
-            for a in g.arrows_from(x):
-                left[(a, i)] = index[(g.target[a], h.comp[(functor.arr_map[a], b)])]
-            for b2 in h.arrows_into(h.source[b]):
-                right[(i, b2)] = index[(x, h.comp[(b, b2)])]
-        return GeneralizedMorphism(g, h, rho, sigma, left, right, labels=carrier)
+        arr = _ints(functor.arr_map)
+        # carrier: the slots (x, b) with b into the image of x
+        points = _Rows(_ints(functor.obj_map), h._in)
+        x, b = points.row, points.col
+        return GeneralizedMorphism(
+            g,
+            h,
+            x,
+            h.source[b],
+            lambda a, z: points.slot(g.target[a], h.comp.at(arr[a], b[z])),
+            lambda z, b2: points.slot(x[z], h.comp.at(b[z], b2)),
+            labels=zip(x.tolist(), b.tolist()),
+        )
 
     @staticmethod
     def identity(groupoid):
@@ -584,77 +722,47 @@ class GeneralizedMorphism:
         if other.src is not self.dst:
             raise ValueError("morphisms are not composable")
         h = self.dst
-        pairs = [
-            (z, w)
-            for z in range(self.size)
-            for w in range(other.size)
-            if self.sigma[z] == other.rho[w]
-        ]
-        index = {zw: i for i, zw in enumerate(pairs)}
-        orbit = [-1] * len(pairs)
-        classes = []
-        for i0, (z0, w0) in enumerate(pairs):
-            if orbit[i0] != -1:
-                continue
-            members = [i0]
-            orbit[i0] = -2
-            stack = [(z0, w0)]
-            while stack:
-                z, w = stack.pop()
-                for b in h.arrows_into(self.sigma[z]):
-                    z2 = self.right[(z, b)]
-                    w2 = other.left[(h.inverses[b], w)]
-                    j = index[(z2, w2)]
-                    if orbit[j] == -1:
-                        orbit[j] = -2
-                        members.append(j)
-                        stack.append((z2, w2))
-            classes.append(sorted(members))
-        classes.sort(key=lambda ms: ms[0])
-        for ci, ms in enumerate(classes):
-            for j in ms:
-                orbit[j] = ci
-        rho = [0] * len(classes)
-        sigma = [0] * len(classes)
-        reps = [pairs[ms[0]] for ms in classes]
-        for ci, (z, w) in enumerate(reps):
-            rho[ci] = self.rho[z]
-            sigma[ci] = other.sigma[w]
-        left = {}
-        right = {}
-        for ci, ms in enumerate(classes):
-            z, w = pairs[ms[0]]
-            for a in self.src.arrows_from(self.rho[z]):
-                left[(a, ci)] = orbit[index[(self.left[(a, z)], w)]]
-            for b in other.dst.arrows_into(other.sigma[w]):
-                right[(ci, b)] = orbit[index[(z, other.right[(w, b)])]]
+        # the pairs (z, w) with sigma(z) == rho(w), then their h-orbits
+        pairs = _Rows(self.sigma, _fan(other.rho, h.num_objects))
+        pz, pw = pairs.row, pairs.col
+        # one step (z, w) -> (z . b, b^-1 . w) for each b into sigma(z)
+        steps = _Rows(self.sigma[pz], h._in)
+        p, b = steps.row, steps.col
+        images = pairs.slot(self.right.at(pz[p], b), other.left.at(h.inverses[b], pw[p]))
+        reps, cls = np.unique(_min_reach(images, steps.start[:-1]), return_inverse=True)
+        rz, rw = pz[reps], pw[reps]
         return GeneralizedMorphism(
-            self.src, other.dst, rho, sigma, left, right, labels=reps
+            self.src,
+            other.dst,
+            self.rho[rz],
+            other.sigma[rw],
+            lambda a, c: cls[pairs.slot(self.left.at(a, rz[c]), rw[c])],
+            lambda c, b2: cls[pairs.slot(rz[c], other.right.at(rw[c], b2))],
+            labels=zip(rz.tolist(), rw.tolist()),
         )
 
     def graph(self):
         """Graph bibundle into the product of source and target."""
         g, h = self.src, self.dst
         prod = FiniteGroupoid.product(g, h)
-        carrier = []
-        for a in range(g.num_arrows):
-            for z in range(self.size):
-                if self.rho[z] == g.source[a]:
-                    carrier.append((a, z))
-        index = {az: i for i, az in enumerate(carrier)}
-        rho = [g.target[a] for a, _ in carrier]
-        sigma = [g.source[a] * h.num_objects + self.sigma[z] for a, z in carrier]
-        left = {}
-        right = {}
-        for i, (a, z) in enumerate(carrier):
-            for a2 in g.arrows_from(g.target[a]):
-                left[(a2, i)] = index[(g.comp[(a2, a)], z)]
-            for a2 in g.arrows_into(g.source[a]):
-                for b in h.arrows_into(self.sigma[z]):
-                    pair_arrow = a2 * h.num_arrows + b
-                    z2 = self.right[(self.left[(g.inverses[a2], z)], b)]
-                    right[(i, pair_arrow)] = index[(g.comp[(a, a2)], z2)]
-        return GeneralizedMorphism(g, prod, rho, sigma, left, right, labels=carrier)
+        # carrier: the slots (a, z) with rho(z) == source(a)
+        points = _Rows(g.source, _fan(self.rho, g.num_objects))
+        ca, cz = points.row, points.col
+
+        def right(i, pair_arrow):
+            a2, b = np.divmod(pair_arrow, h.num_arrows)
+            moved = self.right.at(self.left.at(g.inverses[a2], cz[i]), b)
+            return points.slot(g.comp.at(ca[i], a2), moved)
+
+        return GeneralizedMorphism(
+            g,
+            prod,
+            g.target[ca],
+            g.source[ca] * h.num_objects + self.sigma[cz],
+            lambda a2, i: points.slot(g.comp.at(a2, ca[i]), cz[i]),
+            right,
+            labels=zip(ca.tolist(), cz.tolist()),
+        )
 
 
 class PullbackComparison:
@@ -668,7 +776,7 @@ class PullbackComparison:
     The classification flags are computed in aggregate at construction:
     ``phi`` preserves the carrier pair ``(z1, z2)``, and within a pair
     its arrow component is determined by ``arrow . z2`` (the right
-    action is a dictionary, so distinct comparison arrows at ``z1``
+    action is a function, so distinct comparison arrows at ``z1``
     land on distinct carrier points).  Injectivity therefore reduces to
     injectivity of ``arrow |-> arrow . z2`` per carrier point, and the
     triple counts and the saturation condition depend only on
@@ -695,9 +803,9 @@ class PullbackComparison:
         self._gt = None
         self._ht = None
         self._phi = None
-        anchors = list(Counter(zip(f.rho, f.sigma)).items())
-        g_between = Counter(zip(g.source, g.target))
-        h_between = Counter(zip(h.source, h.target))
+        anchors = list(Counter(zip(f.rho.tolist(), f.sigma.tolist())).items())
+        g_between = Counter(zip(g.source.tolist(), g.target.tolist()))
+        h_between = Counter(zip(h.source.tolist(), h.target.tolist()))
         gt_count = 0
         ht_count = 0
         saturated = True
@@ -713,32 +821,20 @@ class PullbackComparison:
         self._ht_count = ht_count
         self._saturated = saturated
 
-        rho_fibers = [[] for _ in range(g.num_objects)]
-        for z, x in enumerate(f.rho):
-            rho_fibers[x].append(z)
-        orbit = f._right_orbits()
-        fiber_orbits = [{orbit[z] for z in fiber} for fiber in rho_fibers]
-        injective = True
-        connected = True
-        for z2 in range(f.size):
-            images = {}
-            counts = {}
-            for a in g.arrows_from(f.rho[z2]):
-                y = g.target[a]
-                if not rho_fibers[y]:
-                    continue
-                w = f.left[(a, z2)]
-                orbits_at = fiber_orbits[y]
-                if len(orbits_at) != 1 or orbit[w] not in orbits_at:
-                    connected = False
-                    break
-                images.setdefault(y, set()).add(w)
-                counts[y] = counts.get(y, 0) + 1
-            if not connected:
-                break
-            if injective and any(len(images[y]) != counts[y] for y in counts):
-                injective = False
-        self._injective = injective
+        # each left move a . z2 must stay in the one right orbit over its
+        # target object, and be injective in a for fixed z2
+        rows, w = f.left.rows, f.left.flat
+        orbit = _orbits(f.right)
+        per_object = np.bincount(
+            np.unique(f.rho * f.size + orbit) // max(f.size, 1), minlength=g.num_objects
+        )
+        object_orbit = np.full(g.num_objects, -1, dtype=np.int64)
+        object_orbit[f.rho] = orbit
+        y = g.target[rows.col]
+        live = per_object[y] > 0
+        y, w, z2 = y[live], w[live], rows.row[live]
+        connected = bool(((per_object[y] == 1) & (orbit[w] == object_orbit[y])).all())
+        self._injective = len(np.unique(z2 * f.size + w)) == len(w)
         if not connected:
             # some comparison arrow is missing; the exhaustive pass
             # raises the error naming the offending triple
@@ -747,25 +843,27 @@ class PullbackComparison:
     def _materialize(self):
         f = self.morphism
         g, h = f.src, f.dst
+        rho, sigma = f.rho.tolist(), f.sigma.tolist()
+        g_source, h_source = g.source.tolist(), h.source.tolist()
         gt = [
             (z1, a, z2)
             for z1 in range(f.size)
-            for a in g.arrows_into(f.rho[z1])
+            for a in g.arrows_into(rho[z1])
             for z2 in range(f.size)
-            if f.rho[z2] == g.source[a]
+            if rho[z2] == g_source[a]
         ]
         ht = [
             (z1, b, z2)
             for z1 in range(f.size)
-            for b in h.arrows_into(f.sigma[z1])
+            for b in h.arrows_into(sigma[z1])
             for z2 in range(f.size)
-            if f.sigma[z2] == h.source[b]
+            if sigma[z2] == h_source[b]
         ]
         phi = {}
         for z1, a, z2 in gt:
             w = f.left[(a, z2)]
             image = None
-            for b in h.arrows_between(f.sigma[w], f.sigma[z1]):
+            for b in h.arrows_between(sigma[w], sigma[z1]):
                 if f.right[(z1, b)] == w:
                     image = b
                     break
@@ -825,7 +923,7 @@ def classify_embedding(morphism):
     """Decide embedding / iso-spatial / stabilizer-preserving for a bibundle."""
     comparison = PullbackComparison(morphism)
     embedding = comparison.is_injective() and comparison.is_saturated()
-    iso_spatial = embedding and len(set(morphism.sigma)) == morphism.dst.num_objects
+    iso_spatial = embedding and len(np.unique(morphism.sigma)) == morphism.dst.num_objects
     stabilizer_preserving = embedding and comparison.is_bijective()
     return EmbeddingFlags(embedding, iso_spatial, stabilizer_preserving, comparison)
 
@@ -841,37 +939,51 @@ def factorize(morphism):
     if not flags.embedding:
         raise ValueError("only embeddings factor through their image")
     h = morphism.dst
-    image = sorted(set(morphism.sigma))
-    piece, incl = h.full_subgroupoid(image)
-    obj_index = {x: i for i, x in enumerate(incl.obj_map)}
-    arr_index = {a: i for i, a in enumerate(incl.arr_map)}
-    sigma = [obj_index[y] for y in morphism.sigma]
-    right = {}
-    for (z, b), z2 in morphism.right.items():
-        if b in arr_index:
-            right[(z, arr_index[b])] = z2
+    piece, incl = h.full_subgroupoid(morphism.sigma.tolist())
+    obj_index = np.full(h.num_objects, -1, dtype=np.int64)
+    obj_index[list(incl.obj_map)] = np.arange(piece.num_objects)
+    arr_map = _ints(incl.arr_map)
     first = GeneralizedMorphism(
-        morphism.src, piece, morphism.rho, sigma, morphism.left, right,
+        morphism.src,
+        piece,
+        morphism.rho,
+        obj_index[morphism.sigma],
+        morphism.left.at,
+        lambda z, b: morphism.right.at(z, arr_map[b]),
         labels=morphism.labels,
     )
     second = GeneralizedMorphism.from_functor(incl)
     return first, second
 
 
+def _moves(f):
+    """Per carrier point, its left images then its right images, in row order."""
+    lv, ls = f.left.flat.tolist(), f.left.rows.start.tolist()
+    rv, rs = f.right.flat.tolist(), f.right.rows.start.tolist()
+    return [lv[ls[z]:ls[z + 1]] + rv[rs[z]:rs[z + 1]] for z in range(f.size)]
+
+
 def find_isomorphism(a, b):
-    """A bijection of carriers respecting anchors and both actions, or None."""
+    """A bijection of carriers respecting anchors and both actions, or None.
+
+    Points with equal anchors have aligned action rows, so the k-th move
+    of ``z`` in ``a`` corresponds to the k-th move of its image in ``b``.
+    """
     if a.src is not b.src or a.dst is not b.dst or a.size != b.size:
         return None
-    moves = [[] for _ in range(a.size)]
-    for (g, z), z2 in a.left.items():
-        moves[z].append((0, g, z2))
-    for (z, h), z2 in a.right.items():
-        moves[z].append((1, h, z2))
+    moves_a, moves_b = _moves(a), _moves(b)
+    anchor_a = list(zip(a.rho.tolist(), a.sigma.tolist()))
+    anchor_b = list(zip(b.rho.tolist(), b.sigma.tolist()))
     buckets = {}
-    for w in range(b.size):
-        buckets.setdefault((b.rho[w], b.sigma[w]), []).append(w)
+    for w, anchor in enumerate(anchor_b):
+        buckets.setdefault(anchor, []).append(w)
     mapping = [-1] * a.size
     used = [False] * b.size
+
+    def undo(made):
+        for zz in made:
+            used[mapping[zz]] = False
+            mapping[zz] = -1
 
     def assign(z0, w0):
         made = []
@@ -880,22 +992,13 @@ def find_isomorphism(a, b):
             z, w = stack.pop()
             if mapping[z] == w:
                 continue
-            if mapping[z] != -1 or used[w] or a.rho[z] != b.rho[w] or a.sigma[z] != b.sigma[w]:
-                for zz in made:
-                    used[mapping[zz]] = False
-                    mapping[zz] = -1
+            if mapping[z] != -1 or used[w] or anchor_a[z] != anchor_b[w]:
+                undo(made)
                 return None
             mapping[z] = w
             used[w] = True
             made.append(z)
-            for kind, arrow, z2 in moves[z]:
-                w2 = b.left.get((arrow, w)) if kind == 0 else b.right.get((w, arrow))
-                if w2 is None:
-                    for zz in made:
-                        used[mapping[zz]] = False
-                        mapping[zz] = -1
-                    return None
-                stack.append((z2, w2))
+            stack.extend(zip(moves_a[z], moves_b[w]))
         return made
 
     def solve(start):
@@ -904,7 +1007,7 @@ def find_isomorphism(a, b):
             z0 += 1
         if z0 == a.size:
             return True
-        for w0 in buckets.get((a.rho[z0], a.sigma[z0]), ()):
+        for w0 in buckets.get(anchor_a[z0], ()):
             if used[w0]:
                 continue
             made = assign(z0, w0)
@@ -912,9 +1015,7 @@ def find_isomorphism(a, b):
                 continue
             if solve(z0 + 1):
                 return True
-            for zz in made:
-                used[mapping[zz]] = False
-                mapping[zz] = -1
+            undo(made)
         return False
 
     return list(mapping) if solve(0) else None
@@ -924,65 +1025,63 @@ class InertiaGroupoid:
     """Loops of a groupoid with conjugation arrows.
 
     Objects index ``loops``; the arrow ``(i, j, gamma)`` conjugates
-    ``loops[i]`` into ``loops[j]`` by the base arrow ``gamma``.  ``beta``
-    is the forgetful functor back to the base and ``tau[i]`` is the
-    canonical automorphism of loop ``i`` given by the loop itself.
+    ``loops[i]`` into ``loops[j]`` by the base arrow ``gamma``.  The
+    arrows out of loop ``i`` are numbered in the order of
+    ``base.arrows_from`` at its object.  ``beta`` is the forgetful functor
+    back to the base and ``tau[i]`` is the canonical automorphism of loop
+    ``i`` given by the loop itself.
     """
 
-    __slots__ = ("base", "groupoid", "loops", "arrow_data", "beta", "tau", "_arrow_index")
+    __slots__ = (
+        "base", "groupoid", "loops", "arrow_data", "beta", "tau",
+        "_loop_index", "_arrows",
+    )
 
     def __init__(self, base):
         self.base = base
-        loops = base.loop_arrows()
-        self.loops = loops
-        loop_index = {a: i for i, a in enumerate(loops)}
-        data = []
-        for i, loop in enumerate(loops):
-            x = base.source[loop]
-            for gamma in base.arrows_from(x):
-                conj = base.comp[(base.comp[(gamma, loop)], base.inverses[gamma])]
-                data.append((i, loop_index[conj], gamma))
-        self.arrow_data = tuple(data)
-        index = {(i, gamma): k for k, (i, _, gamma) in enumerate(data)}
-        self._arrow_index = index
-        source = [i for i, _, _ in data]
-        target = [j for _, j, _ in data]
-        comp = {}
-        for k2, (j2, _, delta) in enumerate(data):
-            for k1, (i1, j1, gamma) in enumerate(data):
-                if j1 == j2:
-                    comp[(k2, k1)] = index[(i1, base.comp[(delta, gamma)])]
-        units = [index[(i, base.units[base.source[loop]])] for i, loop in enumerate(loops)]
-        inverses = [index[(j, base.inverses[gamma])] for _, j, gamma in data]
-        self.groupoid = FiniteGroupoid(
+        source = base.source
+        loops = np.flatnonzero(source == base.target)
+        self.loops = tuple(loops.tolist())
+        self._loop_index = np.full(base.num_arrows, -1, dtype=np.int64)
+        self._loop_index[loops] = np.arange(len(loops))
+        at = source[loops]
+        # arrow k is the slot (loop i, gamma out of its object)
+        self._arrows = arrows = _Rows(at, base._out)
+        i, gamma = arrows.row, arrows.col
+        conj = base.comp.at(base.comp.at(gamma, loops[i]), base.inverses[gamma])
+        j = self._loop_index[conj]
+        arrow = arrows.slot
+        data = tuple(zip(i.tolist(), j.tolist(), gamma.tolist()))
+        self.arrow_data = data
+        everyone = np.arange(len(loops))
+        self.groupoid = ig = FiniteGroupoid(
             len(loops),
-            source,
-            target,
-            comp,
-            units,
-            inverses,
-            object_labels=loops,
+            i,
+            j,
+            lambda k2, k1: arrow(i[k1], base.comp.at(gamma[k2], gamma[k1])),
+            arrow(everyone, base.units[at]),
+            arrow(j, base.inverses[gamma]),
+            object_labels=self.loops,
             arrow_labels=data,
         )
-        self.beta = StrictFunctor(
-            self.groupoid,
-            base,
-            [base.source[loop] for loop in loops],
-            [gamma for _, _, gamma in data],
-        )
-        self.tau = tuple(index[(i, loop)] for i, loop in enumerate(loops))
-        ig = self.groupoid
-        for k, (i, j, _) in enumerate(data):
-            conj = ig.comp[(ig.comp[(k, self.tau[i])], ig.inverses[k])]
-            if conj != self.tau[j]:
-                raise ValueError("canonical loop section is not conjugation equivariant")
+        self.beta = StrictFunctor(ig, base, at.tolist(), gamma.tolist())
+        tau = arrow(everyone, loops)
+        self.tau = tuple(tau.tolist())
+        k = np.arange(len(i))
+        if (ig.comp.at(ig.comp.at(k, tau[i]), ig.inverses) != tau[j]).any():
+            raise ValueError("canonical loop section is not conjugation equivariant")
 
     def arrow(self, i, gamma):
         """Arrow index of the conjugation of loop ``i`` by base arrow ``gamma``."""
-        return self._arrow_index[(i, gamma)]
+        if self.base.source[gamma] != self.base.source[self.loops[i]]:
+            raise KeyError((i, gamma))
+        return int(self._arrows.slot(i, gamma))
 
     def loop_object(self, base_arrow):
-        return self.loops.index(base_arrow)
+        i = int(self._loop_index[base_arrow])
+        if i < 0:
+            raise ValueError("arrow %d is not a loop" % base_arrow)
+        return i
 
 
 def inertia(base):
@@ -1002,37 +1101,33 @@ def inertia_of_morphism(morphism, inertia_src=None, inertia_dst=None):
     idst = inertia_dst if inertia_dst is not None else inertia(h)
     if isrc.base is not g or idst.base is not h:
         raise ValueError("inertia groupoids do not match the morphism")
-    src_loop_index = {a: i for i, a in enumerate(isrc.loops)}
-    dst_loop_index = {a: i for i, a in enumerate(idst.loops)}
-    carrier = []
-    for z in range(f.size):
-        x = f.rho[z]
-        for loop in g.arrows_between(x, x):
-            z2 = f.left[(loop, z)]
-            middle = None
-            for b in h.arrows_between(f.sigma[z], f.sigma[z]):
-                if f.right[(z, b)] == z2:
-                    middle = b
-                    break
-            if middle is None:
-                raise ValueError("carrier point %d has no matching loop downstairs" % z)
-            carrier.append((src_loop_index[loop], z, dst_loop_index[middle]))
-    index = {t: i for i, t in enumerate(carrier)}
-    rho = [i for i, _, _ in carrier]
-    sigma = [j for _, _, j in carrier]
-    left = {}
-    right = {}
-    for ci, (i, z, j) in enumerate(carrier):
-        for k in isrc.groupoid.arrows_from(i):
-            i2 = isrc.groupoid.target[k]
-            gamma = isrc.arrow_data[k][2]
-            left[(k, ci)] = index[(i2, f.left[(gamma, z)], j)]
-        for k in idst.groupoid.arrows_into(j):
-            j2 = idst.groupoid.source[k]
-            eta = idst.arrow_data[k][2]
-            right[(ci, k)] = index[(i, f.right[(z, eta)], j2)]
+    # carrier: the slots (z, loop of g at rho(z))
+    src_loops = np.asarray(isrc.loops, dtype=np.int64)
+    points = _Rows(f.rho, _fan(g.source[src_loops], g.num_objects))
+    cz, ci = points.row, points.col
+    moved = f.left.at(src_loops[ci], cz)
+    # the first loop b at sigma(z) with z . b == g . z
+    rows, w = f.right.rows, f.right.flat
+    is_loop = h.source[rows.col] == h.target[rows.col]
+    keys = rows.row[is_loop] * f.size + w[is_loop]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    want = cz * f.size + moved
+    # every point has its unit loop, so ``keys`` is empty only with ``want``
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    lost = _first(keys[at] != want)
+    if lost >= 0:
+        raise ValueError("carrier point %d has no matching loop downstairs" % cz[lost])
+    cj = idst._loop_index[rows.col[is_loop][order[at]]]
+    gamma, eta = isrc._arrows.col, idst._arrows.col
     return GeneralizedMorphism(
-        isrc.groupoid, idst.groupoid, rho, sigma, left, right, labels=carrier
+        isrc.groupoid,
+        idst.groupoid,
+        ci,
+        cj,
+        lambda k, c: points.slot(f.left.at(gamma[k], cz[c]), isrc.groupoid.target[k]),
+        lambda c, k: points.slot(f.right.at(cz[c], eta[k]), ci[c]),
+        labels=zip(ci.tolist(), cz.tolist(), cj.tolist()),
     )
 
 

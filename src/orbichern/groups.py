@@ -163,11 +163,13 @@ class FiniteGroup:
         return FiniteGroup(table, names=names, check=check)
 
     @staticmethod
-    def from_generators(degree, perms, check=True):
+    def from_generators(degree, perms, check=True, max_order=MAX_ORDER):
         """Closure of permutations of {0..degree-1} under composition.
 
         Composition convention: (p*q)(x) = p(q(x)).  The identity gets
         index 0; the remaining elements appear in breadth-first order.
+        A closure past ``max_order`` elements stops before any table is
+        built.
         """
         perms = [tuple(p) for p in perms]
         ident = tuple(range(degree))
@@ -182,7 +184,7 @@ class FiniteGroup:
             for g in perms:
                 y = tuple(g[x[i]] for i in range(degree))
                 if y not in found:
-                    if len(found) >= MAX_ORDER:
+                    if len(found) >= max_order:
                         raise ValueError("closure exceeds the order cap")
                     found[y] = len(order)
                     order.append(y)

@@ -360,7 +360,9 @@ def check_zero_section(sc, euler_factor="include"):
     (coefficientwise, exact), and the constant Koszul coefficient is
     compared with the alternating exterior-power character computed from
     matrix minors.  `euler_factor="omit"` drops the Euler monomial to
-    exercise the failure path.
+    exercise the failure path.  An entry's lhs/rhs are the two series'
+    coefficients at the first differing exponent when the series differ,
+    and the two shadow values otherwise.
     """
     chart = LinearChart(sc.group, sc.normal)
     chi = supertrace_class(sc.complex)
@@ -374,7 +376,7 @@ def check_zero_section(sc, euler_factor="include"):
             series_report = zero_section_identity(model)
             ok = series_report.passed
             witness = series_report.first_mismatch
-            lhs_series = series_report.lhs
+            lhs_series, rhs_series = series_report.lhs, series_report.rhs
         elif euler_factor == "omit":
             lhs_series = koszul_ch(model)
             rhs_series = invert_unit(todd_delocalized(model))
@@ -389,7 +391,10 @@ def check_zero_section(sc, euler_factor="include"):
         status = PASS if (ok and shadow_ok) else FAIL
         detail = None
         if not ok:
+            # the witness: both series' coefficients at the first differing exponent
             detail = "series mismatch at exponent %s" % (witness,)
+            lhs = lhs_series.coefficient(witness)
+            rhs = rhs_series.coefficient(witness)
         elif not shadow_ok:
             detail = "shadow mismatch"
         entries.append(ClassEntry(c, status, str(lhs), str(rhs), detail))

@@ -262,6 +262,83 @@ def test_corrupted_zero_section_names_first_monomial(capsys):
     assert "series mismatch at exponent" in out
 
 
+def _edited_copy(tmp_path, name, edit):
+    data = json.loads((FIXTURES / name).read_text())
+    edit(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _set_knob(block_key, knob, value):
+    def edit(data):
+        data[block_key][0][knob] = value
+
+    return edit
+
+
+def _set_model_line(value):
+    def edit(data):
+        data["models"]["one_line"]["lines"][0] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command,fixture,edit,pointer",
+    [
+        ("rrg-zero-section", "zero_section_reflection.json",
+         _set_knob("rrg_zero_section", "euler_factor", "sometimes"),
+         "/rrg_zero_section/0/euler_factor"),
+        ("rrg-iso", "s3_standard.json",
+         _set_knob("rrg_iso", "weight", "bogus"), "/rrg_iso/0/weight"),
+        ("rrg-general", "c2_in_c4_general.json",
+         _set_knob("rrg_general", "inversion", "bogus"), "/rrg_general/0/inversion"),
+        ("todd", "todd_line.json", _set_model_line("0"), "/models/one_line/lines/0"),
+        ("todd", "todd_line.json", _set_model_line("2"), "/models/one_line/lines/0"),
+    ],
+    ids=["euler_factor", "weight", "inversion", "zero_line", "non_root_line"],
+)
+def test_load_rejects_bad_value_with_pointer(tmp_path, capsys, command, fixture, edit, pointer):
+    code = main([command, _edited_copy(tmp_path, fixture, edit)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("load error: ")
+    assert "(at %s)" % pointer in captured.err
+
+
+def test_load_caps_group_order_before_building(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"groups": {"G": {"cyclic": 49}}}))
+    code = main(["inertia", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "(at /groups/G/cyclic)" in captured.err
+    data = {"groups": {"G": {"permutations": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]}}}
+    with pytest.raises(LoadError) as err:
+        parse_scenario(data)  # S5, order 120
+    assert err.value.pointer == "/groups/G"
+    assert parse_scenario({"groups": {"G": {"cyclic": 48}}}).groups["G"].size == 48
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbichern", "todd", fix("todd_line.json")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.strip().endswith("OK")
+
+
 def test_corrupted_differential_message(capsys):
     code = main(["rrg-iso", fix("corrupt_nonequivariant_diff.json")])
     out = capsys.readouterr().out

@@ -340,3 +340,115 @@ def test_morita_decomposition_of_free_action():
     assert part.equivalence.is_morita()
     assert len(part.point_models) == 1
     assert part.point_models[0].stabilizer.size == 1
+
+
+# -- flat tables against their definitions ---------------------------------------
+
+
+def group_comp(group):
+    return {(a, b): group.mul(a, b) for a in range(group.size) for b in range(group.size)}
+
+
+def translation_comp(group, images):
+    p = len(images[0])
+    return {
+        (g2 * p + images[g1][x], g1 * p + x): group.mul(g2, g1) * p + x
+        for g2 in range(group.size)
+        for g1 in range(group.size)
+        for x in range(p)
+    }
+
+
+def product_comp(comp_a, comp_b, arrows_b):
+    return {
+        (p1 * arrows_b + q1, p2 * arrows_b + q2): c1 * arrows_b + c2
+        for (p1, p2), c1 in comp_a.items()
+        for (q1, q2), c2 in comp_b.items()
+    }
+
+
+def inertia_comp(base, comp):
+    """Inertia arrows (loop i, gamma), numbered loop by loop and gamma by
+    gamma; (delta at loop j) o (gamma from loop i to j) = (i, delta o gamma)."""
+    m = base.num_arrows
+    loops = [a for a in range(m) if base.source[a] == base.target[a]]
+    arrows = [(i, gamma) for i, loop in enumerate(loops)
+              for gamma in range(m) if base.source[gamma] == base.source[loop]]
+    index = {arrow: k for k, arrow in enumerate(arrows)}
+    lands = [loops.index(comp[(comp[(gamma, loops[i])], base.inverses[gamma])])
+             for i, gamma in arrows]
+    return loops, {
+        (k2, k1): index[(i1, comp[(delta, gamma)])]
+        for k2, (i2, delta) in enumerate(arrows)
+        for k1, (i1, gamma) in enumerate(arrows)
+        if lands[k1] == i2
+    }
+
+
+def definition_case(name):
+    s3 = FiniteGroup.symmetric(3)
+    if name == "S3":
+        return FiniteGroupoid.from_group(s3), group_comp(s3)
+    if name == "Q8":
+        q8 = FiniteGroup.quaternion()
+        return FiniteGroupoid.from_group(q8), group_comp(q8)
+    images = perm_images(s3)
+    return FiniteGroupoid.translation(s3, 3, images), translation_comp(s3, images)
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "S3 on 3 points"])
+def test_constructed_tables_match_definitions(name):
+    base, comp = definition_case(name)
+    assert dict(base.comp) == comp
+    prod = FiniteGroupoid.product(base, base)
+    assert dict(prod.comp) == product_comp(comp, comp, base.num_arrows)
+    objects = sorted({0, base.num_objects - 1})
+    kept = [a for a in range(base.num_arrows)
+            if base.source[a] in objects and base.target[a] in objects]
+    sub, incl = base.full_subgroupoid(objects)
+    assert list(incl.arr_map) == kept
+    index = {a: i for i, a in enumerate(kept)}
+    assert dict(sub.comp) == {
+        (index[a], index[b]): index[c]
+        for (a, b), c in comp.items()
+        if a in index and b in index
+    }
+    ig = inertia(base)
+    loops, expected = inertia_comp(base, comp)
+    assert list(ig.loops) == loops
+    assert dict(ig.groupoid.comp) == expected
+
+
+def test_sampled_associativity_catches_swapped_rows():
+    from orbichern.groupoids import _TRIPLES_FULL
+
+    pt = FiniteGroupoid.from_group(FiniteGroup.symmetric(4))
+    prod = FiniteGroupoid.product(pt, pt)
+    assert prod.num_objects == 1 and prod.num_arrows ** 3 > _TRIPLES_FULL
+    comp = dict(prod.comp)
+    unit = prod.units[0]
+    b1, b2 = 1, 2
+    # rows b1 and b2 swap everywhere the unit and inverse laws do not look
+    skip = {unit, prod.inverses[b1], prod.inverses[b2]}
+    for a in range(prod.num_arrows):
+        if a not in skip:
+            comp[(a, b1)], comp[(a, b2)] = comp[(a, b2)], comp[(a, b1)]
+    with pytest.raises(ValueError, match="composition is not associative"):
+        FiniteGroupoid(1, prod.source, prod.target, comp, prod.units, prod.inverses)
+
+
+def test_sampled_action_checks_catch_swapped_rows():
+    from orbichern.groupoids import _TRIPLES_FULL
+
+    pt = FiniteGroupoid.from_group(FiniteGroup.symmetric(4))
+    gr = GeneralizedMorphism.identity(pt).graph()
+    prod = gr.dst
+    assert gr.size == 576 and prod.num_objects == 1
+    assert gr.size * len(prod.comp) > _TRIPLES_FULL
+    right = dict(gr.right)
+    unit = prod.units[0]
+    for b in range(prod.num_arrows):
+        if b != unit:
+            right[(0, b)], right[(1, b)] = right[(1, b)], right[(0, b)]
+    with pytest.raises(ValueError, match="right action is not associative"):
+        GeneralizedMorphism(gr.src, prod, gr.rho, gr.sigma, gr.left, right)

@@ -174,6 +174,39 @@ def test_zero_section_euler_omission_fails():
     assert "series mismatch" in report.first_failure["detail"]
 
 
+def test_zero_section_failure_reports_witness_coefficients():
+    from pathlib import Path
+
+    from orbichern.charts import LinearChart, eigen_decomposition
+    from orbichern.cli import load_scenario
+    from orbichern.series import (
+        NormalModel,
+        first_difference,
+        invert_unit,
+        koszul_ch,
+        todd_delocalized,
+    )
+
+    fixture = Path(__file__).parent / "fixtures" / "corrupt_euler_omit.json"
+    block = load_scenario(str(fixture)).blocks["rrg_zero_section"][0]
+    assert block["euler"] == "omit"
+    sc = block["build"](block["trunc"])
+    report = check_zero_section(sc, euler_factor="omit")
+    entry = report.entries[0]
+    assert entry.status == "fail"
+    assert entry.lhs != entry.rhs
+    chart = LinearChart(sc.group, sc.normal)
+    g = sc.group.conjugacy().reps[0]
+    eigen = eigen_decomposition(chart, g, with_bases=False)
+    model = NormalModel.from_eigen(eigen, sc.trunc)
+    koszul = koszul_ch(model)
+    inverted = invert_unit(todd_delocalized(model))
+    witness = first_difference(koszul, inverted)
+    assert entry.detail == "series mismatch at exponent %s" % (witness,)
+    assert entry.lhs == str(koszul.coefficient(witness))
+    assert entry.rhs == str(inverted.coefficient(witness))
+
+
 def test_zero_section_v_equals_w(s3):
     rep = standard_rep(s3)
     sc = ZeroSectionScenario(
