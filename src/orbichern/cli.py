@@ -9,7 +9,8 @@ pointer in the error message; blocks may opt out with
 failing report entry at run time instead of a load error.
 
 Exit codes: 0 all checks pass, 1 any verification failure, 2 load or
-usage errors.
+usage errors, 3 an internal error (an exception the program did not
+expect, reported on one line without a traceback).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .exactnum import Cyclotomic
@@ -620,7 +620,7 @@ def _load_block(sc, kind, body, ptr):
         weight = _knob(body, "weight", ptr)
         build = lambda trunc, e=emb, ch=chart, c=cx: IsoSpatialScenario(e, ch, c)
         out.update(build=build, weight=weight, trunc=None)
-        _prevalidate(out, ptr)
+        _prevalidate(out, ptr, sc.trunc)
     elif kind == "rrg_zero_section":
         group = _ref(sc.groups, body, "group", ptr)
         sub = _ref(sc.representations, body, "sub", ptr)
@@ -657,26 +657,32 @@ def _load_block(sc, kind, body, ptr):
     return out
 
 
-def _prevalidate(block, ptr, default_trunc=None):
-    """Run the deferred builder once at load unless validation is skipped."""
+def _prevalidate(block, ptr, default_trunc):
+    """Build the block's scenario at load unless validation is skipped.
+
+    The object is kept with the truncation it was built at; a run at that
+    truncation uses it instead of building it again.
+    """
     if block["defer"]:
         return
-    trunc = block.get("trunc")
-    if trunc is None:
-        trunc = default_trunc if default_trunc is not None else 0
+    trunc = block["trunc"] if block["trunc"] is not None else default_trunc
     try:
-        block["build"](trunc)
+        block["built"] = (trunc, block["build"](trunc))
     except ValueError as exc:
         raise LoadError(str(exc), ptr)
 
 
 def load_scenario(path) -> Scenario:
     """Read, decode, and fully validate a scenario file."""
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise LoadError("invalid JSON: %s" % exc, "")
+        except UnicodeDecodeError as exc:
+            raise LoadError("not UTF-8 text: %s" % exc, "")
+        except RecursionError:
+            raise LoadError("invalid JSON: nested too deeply", "")
     return parse_scenario(data)
 
 
@@ -768,10 +774,12 @@ def _run_todd(scenario, name, block, flags):
 
 def _run_check_block(scenario, name, block, flags, checks):
     trunc = _effective_trunc(scenario, block, flags)
-    try:
-        sc = block["build"](trunc)
-    except ValueError as exc:
-        return _error_block(name, str(exc))
+    built_trunc, sc = block.get("built", (None, None))
+    if sc is None or built_trunc != trunc:
+        try:
+            sc = block["build"](trunc)
+        except ValueError as exc:
+            return _error_block(name, str(exc))
     reports = [chk(sc).to_dict() for chk in checks]
     passed = all(r["passed"] for r in reports)
     return {"name": name, "passed": passed, "checks": reports}
@@ -986,6 +994,8 @@ def run(command, scenario, flags):
         return runner(scenario, name, block, flags)
 
     if flags.parallel > 1 and len(named) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=flags.parallel) as pool:
             results = list(pool.map(evaluate, named))
     else:
@@ -1108,11 +1118,17 @@ def main(argv=None) -> int:
         print("error: --parallel must be positive", file=sys.stderr)
         return 2
     try:
+        return _execute(args)
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
+
+
+def _execute(args):
+    """Load, run and render one command; returns its exit code."""
+    try:
         scenario = load_scenario(args.scenario)
-    except LoadError as exc:
-        print("load error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LoadError, OSError) as exc:
         print("load error: %s" % exc, file=sys.stderr)
         return 2
     flags = Flags(trunc=args.trunc, json=args.json, parallel=args.parallel)

@@ -16,8 +16,6 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy
-
 from .exactnum import Cyclotomic
 from .linalg import Matrix, block
 from .reps import Representation, VirtualCharacter, character, direct_sum
@@ -255,6 +253,8 @@ def heat_supertrace(c, g, ts=(0.1, 1.0, 10.0)):
     standard Hermitian product.  The value is independent of t and
     equals the supertrace of the complex at g.
     """
+    import numpy
+
     mats = []
     dnum = []
     for k in c.degrees():

@@ -37,14 +37,34 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 
-import numpy as np
-
 from .groups import subgroup_embedding
 
 MAX_ARROWS = 10000
 _TRIPLES_FULL = 500000
 _TRIPLES_SAMPLES = 20000
 _CHUNK = 1 << 16
+
+
+class _NumpyOnFirstUse:
+    """Stands in for the global ``np`` until the first array is needed.
+
+    The first attribute read imports NumPy and rebinds ``np`` to it, so
+    later reads go straight to NumPy, and processes that never build a
+    groupoid never pay for the import.  Two threads reading first at once
+    are safe: the import system runs one import and both get its module.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _NumpyOnFirstUse()
 
 
 # -- flat index helpers -------------------------------------------------------

@@ -235,6 +235,13 @@ class ZeroSectionScenario:
         self.complex = complex
         self.trunc = int(trunc)
         self.normal = _quotient_representation(ambient, inclusion, sub)
+        # at the identity every normal line has eigenvalue 1, so the Euler
+        # monomial there has the normal rank as its degree
+        if self.trunc < self.normal.dim:
+            raise ValueError(
+                "truncation degree %d is below the normal rank %d, the degree of the Euler monomial"
+                % (self.trunc, self.normal.dim)
+            )
 
     def hash(self):
         return content_hash(

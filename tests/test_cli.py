@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import orbichern.cli as cli
 from orbichern.exactnum import Cyclotomic
 from orbichern.cli import (
     CycParseError,
@@ -389,3 +390,98 @@ def test_malformed_json_is_load_error(tmp_path, capsys):
 
 def test_negative_trunc_is_usage_error(capsys):
     assert main(["todd", fix("todd_line.json"), "--trunc", "-1"]) == 2
+
+
+def test_non_utf8_file_is_load_error(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe{}")
+    code = main(["todd", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("load error: not UTF-8 text")
+    assert captured.err.rstrip().endswith("(at /)")
+
+
+def test_deeply_nested_json_is_load_error(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000)
+    code = main(["todd", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "load error: invalid JSON: nested too deeply (at /)\n"
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def broken(scenario, name, block, flags):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_run_todd", broken)
+    code = main(["todd", fix("todd_line.json")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
+
+
+def _count_builds(monkeypatch, class_name):
+    """Record the arguments of every build of an rrg scenario class."""
+    real = getattr(cli, class_name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, class_name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command,fixture,class_name",
+    [
+        ("rrg-iso", "s3_standard.json", "IsoSpatialScenario"),
+        ("rrg-zero-section", "zero_section_reflection.json", "ZeroSectionScenario"),
+        ("rrg-general", "c2_in_c4_general.json", "GeneralScenario"),
+    ],
+)
+def test_rrg_scenario_built_once_per_run(monkeypatch, capsys, command, fixture, class_name):
+    calls = _count_builds(monkeypatch, class_name)
+    code = main([command, fix(fixture), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(calls) == len(report["blocks"]) >= 1
+
+
+def test_rrg_scenario_rebuilt_at_another_trunc(monkeypatch, capsys):
+    calls = _count_builds(monkeypatch, "ZeroSectionScenario")
+    code = main(["rrg-zero-section", fix("zero_section_reflection.json"), "--trunc", "1"])
+    assert code == 0
+    # the block's own trunc at load, then the override at run time
+    assert [args[-1] for args in calls] == [6, 1]
+
+
+def test_skip_validation_block_built_at_run_only(monkeypatch, capsys):
+    path = fix("corrupt_nonequivariant_diff.json")
+    calls = _count_builds(monkeypatch, "IsoSpatialScenario")
+    load_scenario(path)
+    assert calls == []
+    code = main(["rrg-iso", path])
+    assert code == 1
+    assert "not equivariant" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_zero_section_trunc_below_normal_rank(tmp_path, capsys):
+    code = main(["rrg-zero-section", fix("zero_section_reflection.json"), "--trunc", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "truncation degree 0 is below the normal rank 1" in captured.out
+    assert captured.err == ""
+    path = _edited_copy(
+        tmp_path, "zero_section_reflection.json", _set_knob("rrg_zero_section", "trunc", 0)
+    )
+    code = main(["rrg-zero-section", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.rstrip().endswith("(at /rrg_zero_section/0)")

@@ -253,6 +253,15 @@ def test_zero_section_rejects_non_equivariant_inclusion(s3):
         ZeroSectionScenario(s3, Representation.trivial(s3), rep, bad, line(s3), 3)
 
 
+def test_zero_section_rejects_trunc_below_normal_rank():
+    c2, sub, ambient, inclusion = c2_minus_line()
+    with pytest.raises(ValueError, match="below the normal rank 1"):
+        ZeroSectionScenario(c2, sub, ambient, inclusion, line(c2), 0)
+    assert check_zero_section(
+        ZeroSectionScenario(c2, sub, ambient, inclusion, line(c2), 1)
+    ).passed
+
+
 # -- general degree zero ------------------------------------------------------
 
 
