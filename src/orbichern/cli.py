@@ -57,6 +57,8 @@ from .rrg import (
 SCHEMA_VERSION = 1
 DEFAULT_TRUNC = 4
 MAX_SCENARIO_ORDER = 48
+# cap on the monomials of one truncated series, C(vars + trunc, trunc)
+MAX_MONOMIALS = 256
 
 # formula knobs: the allowed values, the default first
 _KNOBS = {
@@ -64,17 +66,6 @@ _KNOBS = {
     "euler_factor": ("include", "omit"),
     "inversion": ("dual", "direct"),
 }
-
-COMMANDS = (
-    "inertia",
-    "induce",
-    "chern",
-    "todd",
-    "rrg-iso",
-    "rrg-zero-section",
-    "rrg-general",
-    "groupoid-check",
-)
 
 
 # -- cyclotomic expression grammar -----------------------------------------
@@ -196,11 +187,6 @@ def parse_cyclotomic(text) -> Cyclotomic:
     if sc.pos != len(sc.text):
         raise CycParseError("unexpected trailing input", sc.pos)
     return value
-
-
-def print_cyclotomic(value) -> str:
-    """Canonical printer; ``parse_cyclotomic`` inverts it."""
-    return str(value)
 
 
 # -- scenario loading --------------------------------------------------------
@@ -493,7 +479,35 @@ def _inclusion_matrix(body, ambient, sub, ptr):
     return m
 
 
-def _load_model(body, ptr):
+def _trunc(value, pointer):
+    """A truncation degree written in the file: a nonnegative integer."""
+    if _want_int(value, pointer) < 0:
+        raise LoadError("truncation degree must be nonnegative", pointer)
+    return value
+
+
+def _cap(trunc, nvars, pointer, what="truncation degree"):
+    """Refuse a truncation whose series in ``nvars`` variables would hold
+    more than MAX_MONOMIALS monomials, C(nvars + trunc, trunc)."""
+    if math.comb(nvars + trunc, trunc) > MAX_MONOMIALS:
+        raise LoadError(
+            "%s %d in %d variables exceeds the cap of %d monomials"
+            % (what, trunc, nvars, MAX_MONOMIALS),
+            pointer,
+        )
+
+
+def _load_chart(sc, body, ptr):
+    body = _want(body, dict, ptr, "an object")
+    group = _ref(sc.groups, body, "group", ptr)
+    action = _ref(sc.representations, body, "action", ptr)
+    try:
+        return LinearChart(group, action)
+    except ValueError as exc:
+        raise LoadError(str(exc), ptr)
+
+
+def _load_model(sc, body, ptr):
     body = _want(body, dict, ptr, "an object")
     lines = _want(body.get("lines"), list, ptr + "/lines", "a list")
     roots = tuple(
@@ -505,19 +519,8 @@ def _load_model(body, ptr):
             raise LoadError("model line is not a root of unity", "%s/lines/%d" % (ptr, i))
     trunc = body.get("trunc")
     if trunc is not None:
-        trunc = _want_int(trunc, ptr + "/trunc")
+        _cap(_trunc(trunc, ptr + "/trunc"), len(roots), ptr + "/trunc")
     return roots, trunc
-
-
-_BLOCK_KEYS = (
-    "induce",
-    "chern",
-    "todd",
-    "rrg_iso",
-    "rrg_zero_section",
-    "rrg_general",
-    "groupoid_checks",
-)
 
 
 def parse_scenario(data) -> Scenario:
@@ -528,9 +531,7 @@ def parse_scenario(data) -> Scenario:
         raise LoadError("unsupported schema_version %r" % version, "/schema_version")
     sc = Scenario()
     if "trunc" in data:
-        sc.trunc = _want_int(data["trunc"], "/trunc")
-        if sc.trunc < 0:
-            raise LoadError("truncation degree must be nonnegative", "/trunc")
+        sc.trunc = _trunc(data["trunc"], "/trunc")
     for name, body in _want(
         data.get("groups", {}), dict, "/groups", "an object"
     ).items():
@@ -538,42 +539,23 @@ def parse_scenario(data) -> Scenario:
         sc.groups[name] = group
         if order is not None:
             sc.perm_actions[name] = order
-    for name, body in _want(
-        data.get("embeddings", {}), dict, "/embeddings", "an object"
-    ).items():
-        sc.embeddings[name] = _load_embedding(sc, body, "/embeddings/%s" % name)
-    for name, body in _want(
-        data.get("representations", {}), dict, "/representations", "an object"
-    ).items():
-        sc.representations[name] = _load_representation(
-            sc, body, "/representations/%s" % name
-        )
-    for name, body in _want(
-        data.get("complexes", {}), dict, "/complexes", "an object"
-    ).items():
-        sc.complexes[name] = _load_complex(sc, body, "/complexes/%s" % name)
-    for name, body in _want(
-        data.get("charts", {}), dict, "/charts", "an object"
-    ).items():
-        body = _want(body, dict, "/charts/%s" % name, "an object")
-        group = _ref(sc.groups, body, "group", "/charts/%s" % name)
-        action = _ref(sc.representations, body, "action", "/charts/%s" % name)
-        try:
-            sc.charts[name] = LinearChart(group, action)
-        except ValueError as exc:
-            raise LoadError(str(exc), "/charts/%s" % name)
-    for name, body in _want(
-        data.get("models", {}), dict, "/models", "an object"
-    ).items():
-        sc.models[name] = _load_model(body, "/models/%s" % name)
-    for name, body in _want(
-        data.get("actions", {}), dict, "/actions", "an object"
-    ).items():
-        sc.actions[name] = _load_action(sc, body, "/actions/%s" % name)
-    for key in _BLOCK_KEYS:
+    for key, load in (
+        ("embeddings", _load_embedding),
+        ("representations", _load_representation),
+        ("complexes", _load_complex),
+        ("charts", _load_chart),
+        ("models", _load_model),
+        ("actions", _load_action),
+    ):
+        named = getattr(sc, key)
+        for name, body in _want(data.get(key, {}), dict, "/" + key, "an object").items():
+            named[name] = load(sc, body, "/%s/%s" % (key, name))
+    for key, load, _, _ in _COMMAND_TABLE.values():
+        if key is None:
+            continue
         blocks = _want(data.get(key, []), list, "/" + key, "a list")
         sc.blocks[key] = [
-            _load_block(sc, key, b, "/%s/%d" % (key, i)) for i, b in enumerate(blocks)
+            _load_block(sc, load, b, "/%s/%d" % (key, i)) for i, b in enumerate(blocks)
         ]
     return sc
 
@@ -586,90 +568,103 @@ def _knob(body, key, ptr):
     return value
 
 
-def _load_block(sc, kind, body, ptr):
-    body = _want(body, dict, ptr, "an object")
-    out = {"label": body.get("label"), "pointer": ptr}
-    defer = bool(body.get("skip_validation", False))
-    out["defer"] = defer
-    if body.get("trunc") is not None:
-        _want_int(body["trunc"], ptr + "/trunc")
-    if kind == "induce":
-        emb = _ref(sc.embeddings, body, "embedding", ptr)
-        rep = _ref(sc.representations, body, "representation", ptr)
-        if rep.group is not emb.source:
-            raise LoadError(
-                "representation must live over the embedding source",
-                ptr + "/representation",
-            )
-        out.update(emb=emb, rep=rep)
-    elif kind == "chern":
-        chart = _ref(sc.charts, body, "chart", ptr)
-        cx = _ref(sc.complexes, body, "complex", ptr)
-        if cx.group is not chart.group:
-            raise LoadError(
-                "complex must live over the chart group", ptr + "/complex"
-            )
-        out.update(chart=chart, cx=cx, trunc=body.get("trunc"))
-    elif kind == "todd":
-        roots, trunc = _ref(sc.models, body, "model", ptr)
-        out.update(roots=roots, trunc=body.get("trunc", trunc))
-    elif kind == "rrg_iso":
-        emb = _ref(sc.embeddings, body, "embedding", ptr)
-        chart = _ref(sc.representations, body, "chart", ptr)
-        cx = _ref(sc.complexes, body, "complex", ptr)
-        weight = _knob(body, "weight", ptr)
-        build = lambda trunc, e=emb, ch=chart, c=cx: IsoSpatialScenario(e, ch, c)
-        out.update(build=build, weight=weight, trunc=None)
-        _prevalidate(out, ptr, sc.trunc)
-    elif kind == "rrg_zero_section":
-        group = _ref(sc.groups, body, "group", ptr)
-        sub = _ref(sc.representations, body, "sub", ptr)
-        ambient = _ref(sc.representations, body, "ambient", ptr)
-        cx = _ref(sc.complexes, body, "complex", ptr)
-        incl = _inclusion_matrix(body, ambient, sub, ptr)
-        trunc = body.get("trunc")
-        euler = _knob(body, "euler_factor", ptr)
-        build = lambda t, g=group, s=sub, a=ambient, m=incl, c=cx: ZeroSectionScenario(
-            g, s, a, m, c, t
-        )
-        out.update(build=build, euler=euler, trunc=trunc)
-        _prevalidate(out, ptr, sc.trunc)
-    elif kind == "rrg_general":
-        emb = _ref(sc.embeddings, body, "embedding", ptr)
-        sub = _ref(sc.representations, body, "sub", ptr)
-        ambient = _ref(sc.representations, body, "ambient", ptr)
-        cx = _ref(sc.complexes, body, "complex", ptr)
-        incl = _inclusion_matrix(body, ambient, sub, ptr)
-        trunc = body.get("trunc")
-        inversion = _knob(body, "inversion", ptr)
-        build = lambda t, e=emb, s=sub, a=ambient, m=incl, c=cx: GeneralScenario(
-            e, s, a, m, c, t
-        )
-        out.update(build=build, inversion=inversion, trunc=trunc)
-        _prevalidate(out, ptr, sc.trunc)
-    elif kind == "groupoid_checks":
-        if "action" in body:
-            out.update(action=_ref(sc.actions, body, "action", ptr))
-        elif "embedding" in body:
-            out.update(gemb=_ref(sc.embeddings, body, "embedding", ptr))
-        else:
-            raise LoadError("groupoid check needs an action or an embedding", ptr)
-    return out
+def _load_block(sc, load, body, ptr):
+    """Load one block with its command's loader.
 
-
-def _prevalidate(block, ptr, default_trunc):
-    """Build the block's scenario at load unless validation is skipped.
-
-    The object is kept with the truncation it was built at; a run at that
-    truncation uses it instead of building it again.
+    The loader gets the file truncation that applies to the block and
+    keeps it as ``trunc`` if the block uses one.  A block with ``vars``
+    builds series in that many variables and is held to the monomial cap;
+    a block with an rrg ``scenario`` has it built here, unless it skips
+    validation, and a run at the same truncation reuses it.
     """
-    if block["defer"]:
-        return
-    trunc = block["trunc"] if block["trunc"] is not None else default_trunc
-    try:
-        block["built"] = (trunc, block["build"](trunc))
-    except ValueError as exc:
-        raise LoadError(str(exc), ptr)
+    body = _want(body, dict, ptr, "an object")
+    trunc, trunc_at = sc.trunc, "/trunc"
+    if body.get("trunc") is not None:
+        trunc_at = ptr + "/trunc"
+        trunc = _trunc(body["trunc"], trunc_at)
+    block = {"label": body.get("label"), "pointer": ptr}
+    block.update(load(sc, body, ptr, trunc))
+    if "vars" in block:
+        # a model's own truncation was capped where the model loads
+        _cap(block["trunc"], block["vars"], trunc_at)
+    if "scenario" in block and not body.get("skip_validation", False):
+        try:
+            block["built"] = (block.get("trunc"), _rrg_scenario(block, block.get("trunc")))
+        except ValueError as exc:
+            raise LoadError(str(exc), ptr)
+    return block
+
+
+def _load_induce(sc, body, ptr, trunc):
+    emb = _ref(sc.embeddings, body, "embedding", ptr)
+    rep = _ref(sc.representations, body, "representation", ptr)
+    if rep.group is not emb.source:
+        raise LoadError(
+            "representation must live over the embedding source",
+            ptr + "/representation",
+        )
+    return {"emb": emb, "rep": rep}
+
+
+def _load_chern(sc, body, ptr, trunc):
+    chart = _ref(sc.charts, body, "chart", ptr)
+    cx = _ref(sc.complexes, body, "complex", ptr)
+    if cx.group is not chart.group:
+        raise LoadError("complex must live over the chart group", ptr + "/complex")
+    return {"chart": chart, "cx": cx, "trunc": trunc}
+
+
+def _load_todd(sc, body, ptr, trunc):
+    roots, model_trunc = _ref(sc.models, body, "model", ptr)
+    if body.get("trunc") is None and model_trunc is not None:
+        trunc = model_trunc
+    return {"roots": roots, "trunc": trunc, "vars": len(roots)}
+
+
+def _load_rrg_iso(sc, body, ptr, trunc):
+    emb = _ref(sc.embeddings, body, "embedding", ptr)
+    chart = _ref(sc.representations, body, "chart", ptr)
+    cx = _ref(sc.complexes, body, "complex", ptr)
+    return {
+        "weight": _knob(body, "weight", ptr),
+        "scenario": (IsoSpatialScenario, (emb, chart, cx)),
+    }
+
+
+def _load_rrg_zero_section(sc, body, ptr, trunc):
+    group = _ref(sc.groups, body, "group", ptr)
+    sub = _ref(sc.representations, body, "sub", ptr)
+    ambient = _ref(sc.representations, body, "ambient", ptr)
+    cx = _ref(sc.complexes, body, "complex", ptr)
+    incl = _inclusion_matrix(body, ambient, sub, ptr)
+    return {
+        "euler": _knob(body, "euler_factor", ptr),
+        "trunc": trunc,
+        "vars": max(ambient.dim - sub.dim, 0),
+        "scenario": (ZeroSectionScenario, (group, sub, ambient, incl, cx)),
+    }
+
+
+def _load_rrg_general(sc, body, ptr, trunc):
+    emb = _ref(sc.embeddings, body, "embedding", ptr)
+    sub = _ref(sc.representations, body, "sub", ptr)
+    ambient = _ref(sc.representations, body, "ambient", ptr)
+    cx = _ref(sc.complexes, body, "complex", ptr)
+    incl = _inclusion_matrix(body, ambient, sub, ptr)
+    return {
+        "inversion": _knob(body, "inversion", ptr),
+        "trunc": trunc,
+        "vars": max(ambient.dim - sub.dim, 0),
+        "scenario": (GeneralScenario, (emb, sub, ambient, incl, cx)),
+    }
+
+
+def _load_groupoid_check(sc, body, ptr, trunc):
+    if "action" in body:
+        return {"action": _ref(sc.actions, body, "action", ptr)}
+    if "embedding" in body:
+        return {"gemb": _ref(sc.embeddings, body, "embedding", ptr)}
+    raise LoadError("groupoid check needs an action or an embedding", ptr)
 
 
 def load_scenario(path) -> Scenario:
@@ -689,33 +684,16 @@ def load_scenario(path) -> Scenario:
 # -- command execution -------------------------------------------------------
 
 
-class Flags:
-    __slots__ = ("trunc", "json", "parallel")
-
-    def __init__(self, trunc=None, json=False, parallel=1):
-        self.trunc = trunc
-        self.json = json
-        self.parallel = max(1, int(parallel))
-
-
 def _block_name(kind, index, block):
     label = block.get("label")
     return label if label else "%s[%d]" % (kind, index)
-
-
-def _effective_trunc(scenario, block, flags):
-    if flags.trunc is not None:
-        return flags.trunc
-    if block.get("trunc") is not None:
-        return block["trunc"]
-    return scenario.trunc
 
 
 def _error_block(name, message):
     return {"name": name, "passed": False, "error": message, "classes": []}
 
 
-def _run_induce(scenario, name, block, flags):
+def _run_induce(name, block, trunc):
     emb, rep = block["emb"], block["rep"]
     chi = character(rep)
     slow = induced_character_sum(emb, chi)
@@ -735,12 +713,11 @@ def _run_induce(scenario, name, block, flags):
     return {"name": name, "passed": passed, "classes": classes}
 
 
-def _run_chern(scenario, name, block, flags):
+def _run_chern(name, block, trunc):
     cx, chart = block["cx"], block["chart"]
     problems = cx.validate()
     if problems:
         return _error_block(name, problems[0])
-    trunc = _effective_trunc(scenario, block, flags)
     ch = delocalized_chern(chart, cx, trunc)
     comps = inertia_data(chart)
     rows = []
@@ -756,8 +733,7 @@ def _run_chern(scenario, name, block, flags):
     return {"name": name, "passed": True, "trunc": trunc, "components": rows}
 
 
-def _run_todd(scenario, name, block, flags):
-    trunc = _effective_trunc(scenario, block, flags)
+def _run_todd(name, block, trunc):
     roots = block["roots"]
     model = NormalModel(
         [(z, i) for i, z in enumerate(roots)], trunc, num_vars=len(roots)
@@ -772,17 +748,49 @@ def _run_todd(scenario, name, block, flags):
     }
 
 
-def _run_check_block(scenario, name, block, flags, checks):
-    trunc = _effective_trunc(scenario, block, flags)
+def _rrg_scenario(block, trunc):
+    """The block's rrg scenario at ``trunc``, or without one when ``trunc``
+    is None; the one built at load is reused at its own truncation."""
     built_trunc, sc = block.get("built", (None, None))
-    if sc is None or built_trunc != trunc:
-        try:
-            sc = block["build"](trunc)
-        except ValueError as exc:
-            return _error_block(name, str(exc))
-    reports = [chk(sc).to_dict() for chk in checks]
+    if sc is not None and built_trunc == trunc:
+        return sc
+    cls, args = block["scenario"]
+    return cls(*args) if trunc is None else cls(*args, trunc)
+
+
+def _run_checks(name, block, trunc, checks):
+    """Build the block's rrg scenario and run ``checks`` on it."""
+    try:
+        sc = _rrg_scenario(block, trunc)
+    except ValueError as exc:
+        return _error_block(name, str(exc))
+    reports = [report.to_dict() for report in checks(sc)]
     passed = all(r["passed"] for r in reports)
     return {"name": name, "passed": passed, "checks": reports}
+
+
+def _run_rrg_iso(name, block, trunc):
+    return _run_checks(
+        name, block, trunc, lambda s: [check_iso_spatial(s, weight=block["weight"])]
+    )
+
+
+def _run_rrg_zero_section(name, block, trunc):
+    return _run_checks(
+        name, block, trunc, lambda s: [check_zero_section(s, euler_factor=block["euler"])]
+    )
+
+
+def _run_rrg_general(name, block, trunc):
+    return _run_checks(
+        name,
+        block,
+        trunc,
+        lambda s: [
+            check_general_degree0(s, inversion=block["inversion"]),
+            check_td_pullback(s),
+        ],
+    )
 
 
 def _groupoid_items_for_action(action):
@@ -891,7 +899,7 @@ def _groupoid_items_for_embedding(emb):
     return items
 
 
-def _run_groupoid_check(scenario, name, block, flags):
+def _run_groupoid_check(name, block, trunc):
     if "action" in block:
         items = _groupoid_items_for_action(block["action"])
     else:
@@ -900,7 +908,7 @@ def _run_groupoid_check(scenario, name, block, flags):
     return {"name": name, "passed": passed, "items": items}
 
 
-def _run_inertia(scenario, name, block, flags):
+def _run_inertia(name, block, trunc):
     group, points, images = block["action"]
     try:
         comps = morita_decompose_inertia(group, points, images)
@@ -926,80 +934,61 @@ def _run_inertia(scenario, name, block, flags):
     return {"name": name, "passed": True, "components": rows}
 
 
-def _collect_blocks(scenario, command):
-    if command == "inertia":
-        blocks = [
-            {"label": label, "action": act}
-            for label, act in sorted(scenario.actions.items())
-        ]
-        if not blocks:
-            blocks = [
-                {"label": label, "action": (g, 1, [[0]] * g.size)}
-                for label, g in sorted(scenario.groups.items())
-            ]
-        return blocks, _run_inertia
-    if command == "induce":
-        return scenario.blocks.get("induce", []), _run_induce
-    if command == "chern":
-        return scenario.blocks.get("chern", []), _run_chern
-    if command == "todd":
-        return scenario.blocks.get("todd", []), _run_todd
-    if command == "rrg-iso":
-        def runner(sc, name, block, flags):
-            weight = block["weight"]
-            return _run_check_block(
-                sc, name, block, flags,
-                [lambda s: check_iso_spatial(s, weight=weight)],
-            )
-        return scenario.blocks.get("rrg_iso", []), runner
-    if command == "rrg-zero-section":
-        def runner(sc, name, block, flags):
-            euler = block["euler"]
-            return _run_check_block(
-                sc, name, block, flags,
-                [lambda s: check_zero_section(s, euler_factor=euler)],
-            )
-        return scenario.blocks.get("rrg_zero_section", []), runner
-    if command == "rrg-general":
-        def runner(sc, name, block, flags):
-            inv = block["inversion"]
-            return _run_check_block(
-                sc, name, block, flags,
-                [
-                    lambda s: check_general_degree0(s, inversion=inv),
-                    check_td_pullback,
-                ],
-            )
-        return scenario.blocks.get("rrg_general", []), runner
-    if command == "groupoid-check":
-        blocks = scenario.blocks.get("groupoid_checks", [])
-        if not blocks:
-            blocks = [
-                {"label": label, "action": act}
-                for label, act in sorted(scenario.actions.items())
-            ]
-        return blocks, _run_groupoid_check
-    raise ValueError("unknown command %r" % command)
-
-
-def run(command, scenario, flags):
-    """Execute one command over a scenario; returns (exit code, report)."""
-    blocks, runner = _collect_blocks(scenario, command)
-    named = [
-        (_block_name(command, i, b), b) for i, b in enumerate(blocks)
+def _action_blocks(scenario):
+    return [
+        {"label": label, "action": act} for label, act in sorted(scenario.actions.items())
     ]
 
-    def evaluate(item):
-        name, block = item
-        return runner(scenario, name, block, flags)
 
-    if flags.parallel > 1 and len(named) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+def _inertia_blocks(scenario):
+    """Every declared action, or else each group acting on one point."""
+    return _action_blocks(scenario) or [
+        {"label": label, "action": (g, 1, [[0]] * g.size)}
+        for label, g in sorted(scenario.groups.items())
+    ]
 
-        with ThreadPoolExecutor(max_workers=flags.parallel) as pool:
-            results = list(pool.map(evaluate, named))
-    else:
-        results = [evaluate(item) for item in named]
+
+# command: (key of its block list in the scenario file, block loader,
+# runner, blocks to run when the file lists none).  Entries are functions
+# of this module; they reach the imported checks by global name at call
+# time, so a caller that rebinds those names here (a span tracer) sees
+# every call.
+_COMMAND_TABLE = {
+    "inertia": (None, None, _run_inertia, _inertia_blocks),
+    "induce": ("induce", _load_induce, _run_induce, None),
+    "chern": ("chern", _load_chern, _run_chern, None),
+    "todd": ("todd", _load_todd, _run_todd, None),
+    "rrg-iso": ("rrg_iso", _load_rrg_iso, _run_rrg_iso, None),
+    "rrg-zero-section": (
+        "rrg_zero_section", _load_rrg_zero_section, _run_rrg_zero_section, None
+    ),
+    "rrg-general": ("rrg_general", _load_rrg_general, _run_rrg_general, None),
+    "groupoid-check": (
+        "groupoid_checks", _load_groupoid_check, _run_groupoid_check, _action_blocks
+    ),
+}
+COMMANDS = list(_COMMAND_TABLE)
+
+
+def run(command, scenario, trunc=None):
+    """Execute one command over a scenario; returns (exit code, report).
+
+    ``trunc`` overrides the truncation degree of every block that has
+    one.  It is held to the monomial cap of each block before any block
+    runs; a LoadError points at the first block it exceeds.
+    """
+    key, _, runner, default = _COMMAND_TABLE[command]
+    blocks = scenario.blocks.get(key) or (default(scenario) if default else [])
+    truncs = [b.get("trunc") for b in blocks]
+    if trunc is not None:
+        for block in blocks:
+            if "vars" in block:
+                _cap(trunc, block["vars"], block["pointer"], "--trunc")
+        truncs = [t if t is None else trunc for t in truncs]
+    results = [
+        runner(_block_name(command, i, b), b, t)
+        for i, (b, t) in enumerate(zip(blocks, truncs))
+    ]
     passed = all(r["passed"] for r in results)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -1098,10 +1087,6 @@ def _build_arg_parser():
         p.add_argument(
             "--json", action="store_true", help="emit the machine-readable report"
         )
-        p.add_argument(
-            "--parallel", type=int, default=1, metavar="N",
-            help="number of worker threads for independent blocks",
-        )
     return parser
 
 
@@ -1113,9 +1098,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     if args.trunc is not None and args.trunc < 0:
         print("error: --trunc must be nonnegative", file=sys.stderr)
-        return 2
-    if args.parallel < 1:
-        print("error: --parallel must be positive", file=sys.stderr)
         return 2
     try:
         return _execute(args)
@@ -1131,8 +1113,11 @@ def _execute(args):
     except (LoadError, OSError) as exc:
         print("load error: %s" % exc, file=sys.stderr)
         return 2
-    flags = Flags(trunc=args.trunc, json=args.json, parallel=args.parallel)
-    code, report = run(args.command, scenario, flags)
+    try:
+        code, report = run(args.command, scenario, args.trunc)
+    except LoadError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     out = render_json(report) if args.json else render_text(report)
     sys.stdout.write(out)
     return code

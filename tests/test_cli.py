@@ -16,7 +16,6 @@ from orbichern.cli import (
     main,
     parse_cyclotomic,
     parse_scenario,
-    print_cyclotomic,
 )
 
 E = Cyclotomic.root_of_unity
@@ -84,7 +83,7 @@ def test_printer_round_trip_thousand_values():
         for _ in range(rng.randint(0, 4)):
             coeff = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
             v = v + Cyclotomic.from_rational(coeff) * E(n, rng.randrange(n))
-        assert parse_cyclotomic(print_cyclotomic(v)) == v
+        assert parse_cyclotomic(str(v)) == v
 
 
 # -- scenario loading --------------------------------------------------------
@@ -347,16 +346,10 @@ def test_corrupted_differential_message(capsys):
     assert "not equivariant" in out
 
 
-def test_json_reports_identical_across_parallel(capsys):
-    outputs = []
-    for workers in ("1", "4"):
-        code = main(
-            ["rrg-iso", fix("s3_standard.json"), "--json", "--parallel", workers]
-        )
-        assert code == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    report = json.loads(outputs[0])
+def test_json_report_of_a_passing_block(capsys):
+    code = main(["rrg-iso", fix("s3_standard.json"), "--json"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
     assert report["schema_version"] == 1
     assert report["passed"] is True
     check = report["blocks"][0]["checks"][0]
@@ -392,6 +385,110 @@ def test_negative_trunc_is_usage_error(capsys):
     assert main(["todd", fix("todd_line.json"), "--trunc", "-1"]) == 2
 
 
+def test_parallel_option_is_gone(capsys):
+    assert main(["rrg-iso", fix("s3_standard.json"), "--parallel", "2"]) == 2
+    assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+
+
+def _set_top_trunc(value):
+    def edit(data):
+        data["trunc"] = value
+
+    return edit
+
+
+def _move_trunc_to_top(block_key, value):
+    def edit(data):
+        del data[block_key][0]["trunc"]
+        data["trunc"] = value
+
+    return edit
+
+
+def _set_model_trunc(value):
+    def edit(data):
+        data["models"]["one_line"]["trunc"] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command,fixture,edit,pointer",
+    [
+        ("chern", "s3_standard.json", _set_top_trunc(-1), "/trunc"),
+        ("todd", "todd_line.json", _set_model_trunc(-1), "/models/one_line/trunc"),
+        ("todd", "todd_line.json", _set_knob("todd", "trunc", -1), "/todd/0/trunc"),
+        ("chern", "s3_standard.json", _set_knob("chern", "trunc", -1), "/chern/0/trunc"),
+    ],
+    ids=["top_level", "model", "todd_block", "chern_block"],
+)
+def test_negative_file_trunc_is_load_error(tmp_path, capsys, command, fixture, edit, pointer):
+    code = main([command, _edited_copy(tmp_path, fixture, edit)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "load error: truncation degree must be nonnegative (at %s)\n" % pointer
+    )
+
+
+@pytest.mark.parametrize(
+    "command,fixture,edit,pointer",
+    [
+        ("todd", "todd_line.json", _set_knob("todd", "trunc", 256), "/todd/0/trunc"),
+        ("todd", "todd_line.json", _set_model_trunc(256), "/models/one_line/trunc"),
+        ("rrg-zero-section", "zero_section_reflection.json",
+         _set_knob("rrg_zero_section", "trunc", 256), "/rrg_zero_section/0/trunc"),
+        ("rrg-general", "c2_in_c4_general.json",
+         _move_trunc_to_top("rrg_general", 256), "/trunc"),
+    ],
+    ids=["todd_block", "model", "zero_section_block", "general_top_level"],
+)
+def test_file_trunc_past_the_monomial_cap_is_load_error(
+    tmp_path, capsys, command, fixture, edit, pointer
+):
+    # one variable: C(1 + 256, 256) = 257 monomials, one more than the cap
+    code = main([command, _edited_copy(tmp_path, fixture, edit)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "load error: truncation degree 256 in 1 variables exceeds the cap of 256"
+        " monomials (at %s)\n" % pointer
+    )
+
+
+@pytest.mark.parametrize(
+    "command,fixture,pointer",
+    [
+        ("todd", "todd_line.json", "/todd/0"),
+        ("rrg-zero-section", "zero_section_reflection.json", "/rrg_zero_section/0"),
+        ("rrg-general", "c2_in_c4_general.json", "/rrg_general/0"),
+    ],
+)
+def test_trunc_option_past_the_monomial_cap_is_usage_error(
+    monkeypatch, capsys, command, fixture, pointer
+):
+    ran = []
+    monkeypatch.setattr(cli, "todd_delocalized", lambda *a: ran.append(a))
+    code = main([command, fix(fixture), "--trunc", "800"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --trunc 800 in 1 variables exceeds the cap of 256 monomials (at %s)\n"
+        % pointer
+    )
+    assert ran == []
+
+
+def test_monomial_cap_admits_its_bound(capsys):
+    # C(1 + 255, 255) = 256 monomials: the largest truncation of one line
+    code = main(["todd", fix("todd_line.json"), "--trunc", "255", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["blocks"][0]["trunc"] == 255
+
+
 def test_non_utf8_file_is_load_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_bytes(b"\xff\xfe{}")
@@ -413,10 +510,10 @@ def test_deeply_nested_json_is_load_error(tmp_path, capsys):
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
-    def broken(scenario, name, block, flags):
+    def broken(model):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "_run_todd", broken)
+    monkeypatch.setattr(cli, "todd_delocalized", broken)
     code = main(["todd", fix("todd_line.json")])
     captured = capsys.readouterr()
     assert code == 3

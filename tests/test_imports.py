@@ -2,8 +2,9 @@
 
 Each check runs in a fresh interpreter, since the test session itself has
 long since imported NumPy.  Span tracers read `sys.modules["orbichern.<m>"]`
-right after the import, so all ten submodules must be there; NumPy and
-`concurrent.futures` load only where arrays or worker threads run.
+right after the import, so all ten submodules must be there; NumPy loads
+only where arrays run.  Blocks run one after another in one thread, so
+`concurrent.futures` never loads.
 """
 
 import json
@@ -110,6 +111,21 @@ print(json.dumps({
         % str(FIXTURES / "s3_standard.json")
     )
     assert got == {"code": 0, "numpy": True, "rebound": True}
+
+
+def test_no_command_loads_concurrent_futures():
+    got = probe(
+        """
+from orbichern.cli import COMMANDS
+codes = [quiet_main(command, %r) for command in COMMANDS]
+print(json.dumps({
+    "codes": codes,
+    "futures": sorted(m for m in sys.modules if m.startswith("concurrent")),
+}))
+"""
+        % str(FIXTURES / "s3_standard.json")
+    )
+    assert got == {"codes": [0] * 8, "futures": []}
 
 
 def test_heat_supertrace_loads_numpy_and_returns_values():

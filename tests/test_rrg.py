@@ -190,7 +190,8 @@ def test_zero_section_failure_reports_witness_coefficients():
     fixture = Path(__file__).parent / "fixtures" / "corrupt_euler_omit.json"
     block = load_scenario(str(fixture)).blocks["rrg_zero_section"][0]
     assert block["euler"] == "omit"
-    sc = block["build"](block["trunc"])
+    cls, args = block["scenario"]
+    sc = cls(*args, block["trunc"])
     report = check_zero_section(sc, euler_factor="omit")
     entry = report.entries[0]
     assert entry.status == "fail"
