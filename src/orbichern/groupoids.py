@@ -100,6 +100,17 @@ def _raise_first(checks):
                 raise ValueError(message(i))
 
 
+def _non_permutation(row):
+    """How ``row``, which is not a permutation of its indices, fails to be one."""
+    seen = {}
+    for x, y in enumerate(row):
+        if not 0 <= y < len(row):
+            return "sends point %d to %d, which is not a point" % (x, y)
+        if y in seen:
+            return "sends points %d and %d both to %d" % (seen[y], x, y)
+        seen[y] = x
+
+
 def _fan(keys, count):
     """Group ``range(len(keys))`` by key: ``(start, order, pos)``.
 
@@ -439,13 +450,25 @@ class FiniteGroupoid:
             raise ValueError("need one image row of length %d per group element" % p)
         img = np.array(images, dtype=np.int64).reshape(n, p)
         points = np.arange(p)
-        if (np.sort(img, axis=1) != points).any():
-            raise ValueError("not an action: some element does not permute the points")
-        if (img[group.identity] != points).any():
-            raise ValueError("not an action: identity moves a point")
+        g = _first((np.sort(img, axis=1) != points).any(axis=1))
+        if g >= 0:
+            raise ValueError("not an action: element %d %s" % (g, _non_permutation(images[g])))
+        e = group.identity
+        x = _first(img[e] != points)
+        if x >= 0:
+            raise ValueError(
+                "not an action: identity %d sends point %d to %d" % (e, x, img[e, x])
+            )
         mul = np.array(group.table, dtype=np.int64).reshape(n, n)
-        if (img[:, img] != img[mul]).any():
-            raise ValueError("not an action: composition fails")
+        # g . (h . x) against (g h) . x, for every (g, h, x)
+        split, joint = img[:, img], img[mul]
+        i = _first((split != joint).ravel())
+        if i >= 0:
+            g, h, x = np.unravel_index(i, split.shape)
+            raise ValueError(
+                "not an action: composition fails at g=%d, h=%d, point %d:"
+                " g.(h.x) = %d, (gh).x = %d" % (g, h, x, split[g, h, x], joint[g, h, x])
+            )
 
         def comp(a, b):
             g1, x = np.divmod(b, p)

@@ -262,6 +262,18 @@ def test_corrupted_zero_section_names_first_monomial(capsys):
     assert "series mismatch at exponent" in out
 
 
+@pytest.mark.parametrize("command", ["groupoid-check", "inertia"])
+def test_corrupted_action_names_its_witness(command, capsys):
+    code = main([command, fix("corrupt_action.json")])
+    out = capsys.readouterr().out
+    assert code == 1
+    # element 1 acts as the identity, so 1.(2.0) = 2.0 = 1 while (1*2).0 = 2
+    assert (
+        "(not an action: composition fails at g=1, h=2, point 0: g.(h.x) = 1, (gh).x = 2)"
+        in out
+    )
+
+
 def _edited_copy(tmp_path, name, edit):
     data = json.loads((FIXTURES / name).read_text())
     edit(data)

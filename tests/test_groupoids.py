@@ -1,5 +1,7 @@
 """Groupoid calculus: bibundles, embeddings, graphs, inertia, Morita pieces."""
 
+import re
+
 import pytest
 
 from orbichern.groups import FiniteGroup, subgroup_embedding
@@ -50,10 +52,19 @@ def test_translation_groupoid_counts(s3):
 def test_translation_rejects_non_action(s3):
     images = perm_images(s3)
     images[3] = images[0]  # breaks compatibility with multiplication
-    with pytest.raises(ValueError, match="not an action"):
+    with pytest.raises(ValueError, match="not an action: composition fails at g=") as err:
         FiniteGroupoid.translation(s3, 3, images)
-    with pytest.raises(ValueError, match="not an action"):
+    g, h, x = (int(v) for v in re.findall(r"g=(\d+), h=(\d+), point (\d+)", str(err.value))[0])
+    split, joint = images[g][images[h][x]], images[s3.mul(g, h)][x]
+    assert split != joint
+    assert str(err.value).endswith("g.(h.x) = %d, (gh).x = %d" % (split, joint))
+    with pytest.raises(ValueError, match="not an action: element 0 sends points 0 and 1 both to 0"):
         FiniteGroupoid.translation(s3, 3, [[0, 0, 1]] + [r for r in perm_images(s3)][1:])
+    with pytest.raises(ValueError, match="not an action: element 1 sends point 2 to 3, which is not a point"):
+        FiniteGroupoid.translation(s3, 3, [[0, 1, 2], [1, 0, 3]] + perm_images(s3)[2:])
+    c2 = FiniteGroup.cyclic(2)
+    with pytest.raises(ValueError, match="not an action: identity 0 sends point 0 to 1"):
+        FiniteGroupoid.translation(c2, 2, [[1, 0], [0, 1]])
 
 
 def test_axiom_validation_catches_tampering():
