@@ -794,50 +794,25 @@ def _run_rrg_general(name, block, trunc):
 
 
 def _groupoid_items_for_action(action):
+    """The three checks of an action in order; the first failure ends them."""
     group, points, images = action
     items = []
-
-    def attempt(label, thunk):
-        try:
-            detail = thunk()
-        except (ValueError, AssertionError) as exc:
-            items.append({"check": label, "status": "fail", "detail": str(exc)})
-            return None
-        entry = {"check": label, "status": "pass"}
-        if detail:
-            entry["detail"] = detail
-        items.append(entry)
-        return True
-
-    state = {}
-
-    def build_base():
-        state["base"] = FiniteGroupoid.translation(group, points, images)
-        return "%d objects, %d arrows" % (
-            state["base"].num_objects,
-            state["base"].num_arrows,
-        )
-
-    if attempt("action-axioms", build_base) is None:
-        return items
-
-    def build_inertia():
-        state["inertia"] = inertia(state["base"])
-        return "%d loop objects" % state["inertia"].groupoid.num_objects
-
-    if attempt("inertia-axioms", build_inertia) is None:
-        return items
-
-    def decompose():
+    check = "action-axioms"
+    try:
+        base = FiniteGroupoid.translation(group, points, images)
+        detail = "%d objects, %d arrows" % (base.num_objects, base.num_arrows)
+        items.append({"check": check, "status": "pass", "detail": detail})
+        check = "inertia-axioms"
+        detail = "%d loop objects" % inertia(base).groupoid.num_objects
+        items.append({"check": check, "status": "pass", "detail": detail})
+        check = "morita-decomposition"
         comps = morita_decompose_inertia(group, points, images)
         for comp in comps:
             if not comp.equivalence.is_morita():
-                raise ValueError(
-                    "component at class %d is not Morita" % comp.class_index
-                )
-        return "%d components" % len(comps)
-
-    attempt("morita-decomposition", decompose)
+                raise ValueError("component at class %d is not Morita" % comp.class_index)
+        items.append({"check": check, "status": "pass", "detail": "%d components" % len(comps)})
+    except (ValueError, AssertionError) as exc:
+        items.append({"check": check, "status": "fail", "detail": str(exc)})
     return items
 
 

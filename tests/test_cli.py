@@ -402,16 +402,11 @@ def test_parallel_option_is_gone(capsys):
     assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
 
 
-def _set_top_trunc(value):
+def _set_top_trunc(block_key, value):
+    """Set the top-level trunc and drop the first block's own, so it applies."""
+
     def edit(data):
-        data["trunc"] = value
-
-    return edit
-
-
-def _move_trunc_to_top(block_key, value):
-    def edit(data):
-        del data[block_key][0]["trunc"]
+        data[block_key][0].pop("trunc", None)
         data["trunc"] = value
 
     return edit
@@ -427,7 +422,7 @@ def _set_model_trunc(value):
 @pytest.mark.parametrize(
     "command,fixture,edit,pointer",
     [
-        ("chern", "s3_standard.json", _set_top_trunc(-1), "/trunc"),
+        ("chern", "s3_standard.json", _set_top_trunc("chern", -1), "/trunc"),
         ("todd", "todd_line.json", _set_model_trunc(-1), "/models/one_line/trunc"),
         ("todd", "todd_line.json", _set_knob("todd", "trunc", -1), "/todd/0/trunc"),
         ("chern", "s3_standard.json", _set_knob("chern", "trunc", -1), "/chern/0/trunc"),
@@ -452,7 +447,7 @@ def test_negative_file_trunc_is_load_error(tmp_path, capsys, command, fixture, e
         ("rrg-zero-section", "zero_section_reflection.json",
          _set_knob("rrg_zero_section", "trunc", 256), "/rrg_zero_section/0/trunc"),
         ("rrg-general", "c2_in_c4_general.json",
-         _move_trunc_to_top("rrg_general", 256), "/trunc"),
+         _set_top_trunc("rrg_general", 256), "/trunc"),
     ],
     ids=["todd_block", "model", "zero_section_block", "general_top_level"],
 )
@@ -482,7 +477,8 @@ def test_trunc_option_past_the_monomial_cap_is_usage_error(
     monkeypatch, capsys, command, fixture, pointer
 ):
     ran = []
-    monkeypatch.setattr(cli, "todd_delocalized", lambda *a: ran.append(a))
+    for check in ("todd_delocalized", "check_zero_section", "check_general_degree0"):
+        monkeypatch.setattr(cli, check, lambda *a, **k: ran.append(a))
     code = main([command, fix(fixture), "--trunc", "800"])
     captured = capsys.readouterr()
     assert code == 2
