@@ -715,7 +715,7 @@ def _run_induce(name, block, trunc):
 
 def _run_chern(name, block, trunc):
     cx, chart = block["cx"], block["chart"]
-    problems = cx.validate()
+    problems = [] if cx.validated else cx.validate()
     if problems:
         return _error_block(name, problems[0])
     ch = delocalized_chern(chart, cx, trunc)

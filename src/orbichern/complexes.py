@@ -18,16 +18,21 @@ import random
 
 from .exactnum import Cyclotomic
 from .linalg import Matrix, block
-from .reps import Representation, VirtualCharacter, character, direct_sum
+from .reps import Representation, VirtualCharacter, _derived, character, direct_sum
 
 _EQUIV_EXHAUSTIVE = 60
 _EQUIV_SAMPLES = 1000
 
 
 class EquivariantComplex:
-    """Pieces E^k for k in a contiguous degree window, with d_k: E^k -> E^{k+1}."""
+    """Pieces E^k for k in a contiguous degree window, with d_k: E^k -> E^{k+1}.
 
-    __slots__ = ("group", "min_degree", "pieces", "diffs")
+    ``validated`` follows the rule of `Representation`: a passed
+    ``check=True`` construction, or a trusted constructor (`single`,
+    `shift`, `mapping_cone`) whose inputs are all flagged.
+    """
+
+    __slots__ = ("group", "min_degree", "pieces", "diffs", "validated")
 
     def __init__(self, group, min_degree, pieces, diffs, check=True):
         pieces = tuple(pieces)
@@ -54,6 +59,7 @@ class EquivariantComplex:
             bad = self.validate()
             if bad:
                 raise ValueError("; ".join(bad[:3]))
+        self.validated = bool(check)
 
     @property
     def max_degree(self):
@@ -112,7 +118,7 @@ class EquivariantComplex:
 
     @staticmethod
     def single(rep, degree=0):
-        return EquivariantComplex(rep.group, degree, (rep,), (), check=False)
+        return _derived(EquivariantComplex(rep.group, degree, (rep,), (), check=False), rep)
 
 
 def supertrace_class(c) -> VirtualCharacter:
@@ -156,9 +162,12 @@ def cohomology(c) -> list:
 
 
 class ChainMap:
-    """A degreewise equivariant map commuting with the differentials."""
+    """A degreewise equivariant map commuting with the differentials.
 
-    __slots__ = ("source", "target", "mats")
+    ``validated`` as for `EquivariantComplex`; `identity` is trusted.
+    """
+
+    __slots__ = ("source", "target", "mats", "validated")
 
     def __init__(self, source, target, mats, check=True):
         if source.group is not target.group:
@@ -181,6 +190,7 @@ class ChainMap:
             bad = self.validate()
             if bad:
                 raise ValueError("; ".join(bad[:3]))
+        self.validated = bool(check)
 
     def validate(self):
         out = []
@@ -202,7 +212,8 @@ class ChainMap:
 
     @staticmethod
     def identity(c):
-        return ChainMap(c, c, tuple(Matrix.identity(p.dim) for p in c.pieces), check=False)
+        ident = ChainMap(c, c, tuple(Matrix.identity(p.dim) for p in c.pieces), check=False)
+        return _derived(ident, c)
 
 
 def mapping_cone(phi: ChainMap) -> EquivariantComplex:
@@ -233,7 +244,8 @@ def mapping_cone(phi: ChainMap) -> EquivariantComplex:
                 [etop, fbot],
             )
         )
-    return EquivariantComplex(group, lo, pieces, diffs, check=False)
+    cone = EquivariantComplex(group, lo, pieces, diffs, check=False)
+    return _derived(cone, phi, e, f)
 
 
 def shift(c: EquivariantComplex) -> EquivariantComplex:
@@ -243,7 +255,9 @@ def shift(c: EquivariantComplex) -> EquivariantComplex:
         if (c.min_degree + i) % 2:
             d = -d
         diffs.append(d)
-    return EquivariantComplex(c.group, c.min_degree - 1, c.pieces, diffs, check=False)
+    return _derived(
+        EquivariantComplex(c.group, c.min_degree - 1, c.pieces, diffs, check=False), c
+    )
 
 
 def heat_supertrace(c, g, ts=(0.1, 1.0, 10.0)):

@@ -22,14 +22,19 @@ via the pullback comparison, factorization through the image, inertia
 groupoids, and the Morita decomposition of inertia for translation
 groupoids.
 
-Every constructed groupoid and bibundle re-checks its axioms as whole
-array passes.  The cubic check families (associativity of composition
-and of the two bibundle actions, and the commutation between them) run
-exhaustively up to `_TRIPLES_FULL` instances, in bounded chunks, and
-switch to `_TRIPLES_SAMPLES` draws from a fixed seed beyond that; all
-linear and quadratic checks stay exhaustive.  A failing check names the
-first failing index.  All enumerations are index ordered, so outputs
-are deterministic.
+A groupoid, functor or bibundle built with ``check=True`` checks its
+axioms as whole array passes.  The constructors of the calculus
+(`product`, `full_subgroupoid`, the inertia groupoid and ``beta``,
+`from_functor`, `compose`, `graph`, `factorize`, `inertia_of_morphism`)
+skip that check when every input is flagged as validated, and run it
+otherwise; their outputs are flagged either way.  Tables are read-only
+arrays, so a flag cannot go stale.  The cubic check families
+(associativity of composition and of the two bibundle actions, and the
+commutation between them) run exhaustively up to `_TRIPLES_FULL`
+instances, in bounded chunks, and switch to `_TRIPLES_SAMPLES` draws
+from a fixed seed beyond that; all linear and quadratic checks stay
+exhaustive.  A failing check names the first failing index.  All
+enumerations are index ordered, so outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -70,12 +75,31 @@ np = _NumpyOnFirstUse()
 # -- flat index helpers -------------------------------------------------------
 
 
+def _frozen(arr):
+    """``arr``, made read-only.  Tables are private read-only arrays, so no
+    table of a built object can be edited in place behind its
+    ``validated`` flag, neither through the object nor through an array
+    the caller kept."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _ints(values):
-    """``values`` as a one-dimensional int64 array."""
-    arr = np.asarray(values, dtype=np.int64)
+    """``values`` as a new read-only one-dimensional int64 array."""
+    arr = np.array(values, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError("expected a flat list of indices")
-    return arr
+    return _frozen(arr)
+
+
+def _derived(obj, *inputs):
+    """``obj``, built unchecked by a trusted constructor from ``inputs``,
+    and flagged as validated: at once when every input is flagged, else
+    once its own full check has passed."""
+    if not all(x.validated for x in inputs):
+        obj.validate()
+    obj.validated = True
+    return obj
 
 
 def _first(flags):
@@ -238,12 +262,12 @@ class _Table(Mapping):
         if isinstance(values, Mapping):
             get = values.get
             pairs = zip(keys[0].tolist(), keys[1].tolist())
-            self.flat = np.fromiter(
+            self.flat = _frozen(np.fromiter(
                 (get(k, -1) for k in pairs), dtype=np.int64, count=len(rows.row)
-            )
+            ))
             self.extra = len(values) - int(np.count_nonzero(self.flat >= 0))
         else:
-            self.flat = np.asarray(values(*keys), dtype=np.int64)
+            self.flat = _frozen(np.array(values(*keys), dtype=np.int64))
             self.extra = 0
 
     def at(self, x, y):
@@ -277,6 +301,12 @@ class FiniteGroupoid:
     ``comp`` is a mapping ``{(a, b): a o b}`` over the composable pairs, or
     a function taking the arrays of left and right factors of all
     composable pairs, in row order, and returning their composites.
+
+    ``validated`` is True when a ``check=True`` construction passed, or
+    when a trusted constructor built the groupoid from flagged inputs
+    (see `_derived`).  Consumers skip their check on a flagged object;
+    ``validate()`` ignores the flag.  The same holds for `StrictFunctor`
+    and `GeneralizedMorphism`.
     """
 
     __slots__ = (
@@ -289,6 +319,7 @@ class FiniteGroupoid:
         "inverses",
         "object_labels",
         "arrow_labels",
+        "validated",
         "_out",
         "_in",
     )
@@ -321,6 +352,7 @@ class FiniteGroupoid:
         self.comp = _Table(_Rows(self.target, self._out), comp, row_first=False)
         if check:
             self.validate()
+        self.validated = bool(check)
 
     # -- structure access ------------------------------------------------
 
@@ -500,14 +532,16 @@ class FiniteGroupoid:
             p2, q2 = np.divmod(q, mb)
             return a.comp.at(p1, p2) * mb + b.comp.at(q1, q2)
 
-        return FiniteGroupoid(
+        prod = FiniteGroupoid(
             a.num_objects * nb,
             pairs(a.source, b.source, nb),
             pairs(a.target, b.target, nb),
             comp,
             pairs(a.units, b.units, mb),
             pairs(a.inverses, b.inverses, mb),
+            check=False,
         )
+        return _derived(prod, a, b)
 
     def full_subgroupoid(self, objects):
         """Restrict to ``objects``; returns the piece and its inclusion."""
@@ -532,15 +566,17 @@ class FiniteGroupoid:
             arr_index[self.inverses[arrs]],
             object_labels=objs,
             arrow_labels=labels,
+            check=False,
         )
-        incl = StrictFunctor(sub, self, objs, arrs.tolist())
-        return sub, incl
+        _derived(sub, self)
+        incl = StrictFunctor(sub, self, objs, arrs.tolist(), check=False)
+        return sub, _derived(incl, self)
 
 
 class StrictFunctor:
     """An object map and an arrow map preserving all structure."""
 
-    __slots__ = ("src", "dst", "obj_map", "arr_map")
+    __slots__ = ("src", "dst", "obj_map", "arr_map", "validated")
 
     def __init__(self, src, dst, obj_map, arr_map, check=True):
         self.src = src
@@ -549,6 +585,7 @@ class StrictFunctor:
         self.arr_map = tuple(arr_map)
         if check:
             self.validate()
+        self.validated = bool(check)
 
     def validate(self):
         g, h = self.src, self.dst
@@ -577,25 +614,31 @@ class StrictFunctor:
 
     @staticmethod
     def identity(groupoid):
-        return StrictFunctor(
+        ident = StrictFunctor(
             groupoid,
             groupoid,
             range(groupoid.num_objects),
             range(groupoid.num_arrows),
             check=False,
         )
+        # unchecked, so flagged exactly when its input is
+        ident.validated = groupoid.validated
+        return ident
 
     def then(self, other):
         """Composite functor ``other o self``."""
         if other.src is not self.dst:
             raise ValueError("functors are not composable")
-        return StrictFunctor(
+        composite = StrictFunctor(
             self.src,
             other.dst,
             [other.obj_map[x] for x in self.obj_map],
             [other.arr_map[a] for a in self.arr_map],
             check=False,
         )
+        # unchecked, so flagged exactly when both inputs are
+        composite.validated = self.validated and other.validated
+        return composite
 
 
 class GeneralizedMorphism:
@@ -612,7 +655,9 @@ class GeneralizedMorphism:
     slots, in row order.
     """
 
-    __slots__ = ("src", "dst", "size", "rho", "sigma", "left", "right", "labels")
+    __slots__ = (
+        "src", "dst", "size", "rho", "sigma", "left", "right", "labels", "validated",
+    )
 
     def __init__(self, src, dst, rho, sigma, left, right, labels=None, check=True):
         self.src = src
@@ -626,6 +671,7 @@ class GeneralizedMorphism:
         self.right = _Table(_Rows(self.sigma, dst._in), right, row_first=True)
         if check:
             self.validate()
+        self.validated = bool(check)
 
     # -- invariants -------------------------------------------------------
 
@@ -725,7 +771,8 @@ class GeneralizedMorphism:
 
     def is_morita(self):
         """True when the bibundle is principal on both sides."""
-        self.validate()
+        if not self.validated:
+            self.validate()
         rows, w = self.left.rows, self.left.flat
         if ((w == rows.row) & (rows.col != self.src.units[self.rho[rows.row]])).any():
             return False
@@ -744,7 +791,7 @@ class GeneralizedMorphism:
         # carrier: the slots (x, b) with b into the image of x
         points = _Rows(_ints(functor.obj_map), h._in)
         x, b = points.row, points.col
-        return GeneralizedMorphism(
+        comma = GeneralizedMorphism(
             g,
             h,
             x,
@@ -752,7 +799,9 @@ class GeneralizedMorphism:
             lambda a, z: points.slot(g.target[a], h.comp.at(arr[a], b[z])),
             lambda z, b2: points.slot(x[z], h.comp.at(b[z], b2)),
             labels=zip(x.tolist(), b.tolist()),
+            check=False,
         )
+        return _derived(comma, functor, g, h)
 
     @staticmethod
     def identity(groupoid):
@@ -774,7 +823,7 @@ class GeneralizedMorphism:
         images = pairs.slot(self.right.at(pz[p], b), other.left.at(h.inverses[b], pw[p]))
         reps, cls = np.unique(_min_reach(images, steps.start[:-1]), return_inverse=True)
         rz, rw = pz[reps], pw[reps]
-        return GeneralizedMorphism(
+        composite = GeneralizedMorphism(
             self.src,
             other.dst,
             self.rho[rz],
@@ -782,7 +831,9 @@ class GeneralizedMorphism:
             lambda a, c: cls[pairs.slot(self.left.at(a, rz[c]), rw[c])],
             lambda c, b2: cls[pairs.slot(rz[c], other.right.at(rw[c], b2))],
             labels=zip(rz.tolist(), rw.tolist()),
+            check=False,
         )
+        return _derived(composite, self, other, self.src, h, other.dst)
 
     def graph(self):
         """Graph bibundle into the product of source and target."""
@@ -797,7 +848,7 @@ class GeneralizedMorphism:
             moved = self.right.at(self.left.at(g.inverses[a2], cz[i]), b)
             return points.slot(g.comp.at(ca[i], a2), moved)
 
-        return GeneralizedMorphism(
+        graph = GeneralizedMorphism(
             g,
             prod,
             g.target[ca],
@@ -805,7 +856,9 @@ class GeneralizedMorphism:
             lambda a2, i: points.slot(g.comp.at(a2, ca[i]), cz[i]),
             right,
             labels=zip(ca.tolist(), cz.tolist()),
+            check=False,
         )
+        return _derived(graph, self, g, h)
 
 
 class PullbackComparison:
@@ -994,7 +1047,9 @@ def factorize(morphism):
         morphism.left.at,
         lambda z, b: morphism.right.at(z, arr_map[b]),
         labels=morphism.labels,
+        check=False,
     )
+    _derived(first, morphism, morphism.src, h)
     second = GeneralizedMorphism.from_functor(incl)
     return first, second
 
@@ -1106,8 +1161,11 @@ class InertiaGroupoid:
             arrow(j, base.inverses[gamma]),
             object_labels=self.loops,
             arrow_labels=data,
+            check=False,
         )
-        self.beta = StrictFunctor(ig, base, at.tolist(), gamma.tolist())
+        _derived(ig, base)
+        beta = StrictFunctor(ig, base, at.tolist(), gamma.tolist(), check=False)
+        self.beta = _derived(beta, base)
         tau = arrow(everyone, loops)
         self.tau = tuple(tau.tolist())
         k = np.arange(len(i))
@@ -1163,7 +1221,7 @@ def inertia_of_morphism(morphism, inertia_src=None, inertia_dst=None):
         raise ValueError("carrier point %d has no matching loop downstairs" % cz[lost])
     cj = idst._loop_index[rows.col[is_loop][order[at]]]
     gamma, eta = isrc._arrows.col, idst._arrows.col
-    return GeneralizedMorphism(
+    lam = GeneralizedMorphism(
         isrc.groupoid,
         idst.groupoid,
         ci,
@@ -1171,7 +1229,9 @@ def inertia_of_morphism(morphism, inertia_src=None, inertia_dst=None):
         lambda k, c: points.slot(f.left.at(gamma[k], cz[c]), isrc.groupoid.target[k]),
         lambda c, k: points.slot(f.right.at(cz[c], eta[k]), ci[c]),
         labels=zip(ci.tolist(), cz.tolist(), cj.tolist()),
+        check=False,
     )
+    return _derived(lam, f, g, h, isrc.groupoid, idst.groupoid)
 
 
 class PointModel:

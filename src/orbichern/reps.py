@@ -22,9 +22,15 @@ _EXTERIOR_CAP = 12
 
 
 class Representation:
-    """A homomorphism from a finite group into exact invertible matrices."""
+    """A homomorphism from a finite group into exact invertible matrices.
 
-    __slots__ = ("group", "dim", "mats")
+    ``validated`` is True when a ``check=True`` construction passed, or
+    when a trusted constructor of this module built the object from
+    inputs that are all flagged (see `_derived`).  Consumers skip their
+    check on a flagged object; ``validate()`` ignores the flag.
+    """
+
+    __slots__ = ("group", "dim", "mats", "validated")
 
     def __init__(self, group, mats, check=True):
         mats = tuple(mats)
@@ -41,6 +47,7 @@ class Representation:
             bad = self.validate()
             if bad:
                 raise ValueError("; ".join(bad[:3]))
+        self.validated = bool(check)
 
     def validate(self):
         """Homomorphism violations; exhaustive for |G| <= 60, else sampled."""
@@ -71,12 +78,12 @@ class Representation:
     @staticmethod
     def trivial(group, dim=1):
         eye = Matrix.identity(dim)
-        return Representation(group, (eye,) * group.size, check=False)
+        return _derived(Representation(group, (eye,) * group.size, check=False))
 
     @staticmethod
     def zero_dimensional(group):
         z = Matrix.zero(0, 0)
-        return Representation(group, (z,) * group.size, check=False)
+        return _derived(Representation(group, (z,) * group.size, check=False))
 
     @staticmethod
     def permutation(group, images, check=True):
@@ -98,7 +105,7 @@ class Representation:
         images = [
             [group.mul(g, x) for x in group.elements()] for g in group.elements()
         ]
-        return Representation.permutation(group, images, check=False)
+        return _derived(Representation.permutation(group, images, check=False))
 
     @staticmethod
     def one_dimensional(group, values, check=True):
@@ -113,6 +120,17 @@ class Representation:
         return Representation.one_dimensional(group, values, check=False)
 
 
+def _derived(obj, *inputs):
+    """``obj``, built unchecked by a trusted constructor from ``inputs``,
+    flagged as validated exactly when every input is (always, with none).
+
+    Groups and embeddings carry no flag: their own ``check`` is where
+    they are validated.
+    """
+    obj.validated = all(x.validated for x in inputs)
+    return obj
+
+
 def direct_sum(a, b) -> Representation:
     if a.group is not b.group:
         raise ValueError("summands live over different groups")
@@ -122,20 +140,20 @@ def direct_sum(a, b) -> Representation:
         block([[ma, None], [None, mb]], [a.dim, b.dim], [a.dim, b.dim])
         for ma, mb in zip(a.mats, b.mats)
     ]
-    return Representation(a.group, mats, check=False)
+    return _derived(Representation(a.group, mats, check=False), a, b)
 
 
 def tensor(a, b) -> Representation:
     if a.group is not b.group:
         raise ValueError("factors live over different groups")
     mats = [ma.kron(mb) for ma, mb in zip(a.mats, b.mats)]
-    return Representation(a.group, mats, check=False)
+    return _derived(Representation(a.group, mats, check=False), a, b)
 
 
 def dual(a) -> Representation:
     g = a.group
     mats = [a.mats[g.inv(x)].transpose() for x in g.elements()]
-    return Representation(g, mats, check=False)
+    return _derived(Representation(g, mats, check=False), a)
 
 
 def exterior_power(a, k) -> Representation:
@@ -149,7 +167,7 @@ def exterior_power(a, k) -> Representation:
         for s in subsets:
             rows.append(tuple(m.minor(s, t) for t in subsets))
         mats.append(Matrix(tuple(rows), ncols=len(subsets)))
-    return Representation(a.group, mats, check=False)
+    return _derived(Representation(a.group, mats, check=False), a)
 
 
 def restrict(emb, rep) -> Representation:
@@ -157,7 +175,7 @@ def restrict(emb, rep) -> Representation:
     if rep.group is not emb.target:
         raise ValueError("representation does not live over the embedding target")
     mats = [rep.mats[emb.mapping[a]] for a in emb.source.elements()]
-    return Representation(emb.source, mats, check=False)
+    return _derived(Representation(emb.source, mats, check=False), rep)
 
 
 def induced_matrix(emb, rep, h) -> Matrix:
@@ -186,7 +204,7 @@ def induce(emb, rep) -> Representation:
     if rep.group is not emb.source:
         raise ValueError("representation does not live over the embedding source")
     mats = [induced_matrix(emb, rep, h) for h in emb.target.elements()]
-    return Representation(emb.target, mats, check=False)
+    return _derived(Representation(emb.target, mats, check=False), rep)
 
 
 class VirtualCharacter:

@@ -47,7 +47,10 @@ SKIPPED = "skipped"
 
 
 def _require_valid(obj):
-    """Raise on the first problem reported by a validate() survey."""
+    """Raise on the first problem reported by a validate() survey; an
+    object flagged as validated is taken as checked."""
+    if obj.validated:
+        return
     problems = obj.validate()
     if problems:
         raise ValueError(problems[0])
@@ -501,6 +504,7 @@ def check_functoriality(emb, cx):
         cx.min_degree,
         tuple(restrict(emb, p) for p in cx.pieces),
         cx.diffs,
+        check=not cx.validated,
     )
     lhs = supertrace_class(restricted)
     rhs = restricted_character(emb, supertrace_class(cx))

@@ -1,0 +1,364 @@
+"""Validation by provenance: trusted constructors flag what they build.
+
+An object is flagged (``validated``) when a ``check=True`` construction
+passed, or when a trusted constructor built it from inputs that are all
+flagged.  The audit below runs the full ``validate()`` on every flagged
+output over S3, Q8, S4 and their subgroup pairs, so an unsound trusted
+constructor fails here.  The propagation cases show that an unflagged
+input gives an unflagged output that is still checked where it is
+consumed, and the counting cases that consumers skip flagged objects
+while an explicit ``validate()`` always runs.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from orbichern import rrg
+from orbichern.exactnum import Cyclotomic
+from orbichern.groups import FiniteGroup, subgroup_embedding, subgroups
+from orbichern.linalg import Matrix
+from orbichern.reps import (
+    Representation,
+    direct_sum,
+    dual,
+    exterior_power,
+    induce,
+    restrict,
+    tensor,
+)
+from orbichern.complexes import ChainMap, EquivariantComplex, mapping_cone, shift
+from orbichern.groupoids import (
+    FiniteGroupoid,
+    GeneralizedMorphism,
+    StrictFunctor,
+    factorize,
+    inertia,
+    inertia_of_morphism,
+    morita_decompose_inertia,
+)
+
+from randgen import coset_action
+from test_reps import perm_of_name
+
+GROUPS = ("S3", "Q8", "S4")
+# induced representations stay small enough to validate in full
+MAX_INDEX = 4
+
+
+def make_group(name):
+    return FiniteGroup.quaternion() if name == "Q8" else FiniteGroup.symmetric(int(name[1]))
+
+
+def action(group):
+    """A faithful permutation action: the natural one for S_n, the
+    regular one for Q8 (its only faithful permutation action of small
+    degree)."""
+    if group.names is not None and group.name(0).startswith("("):
+        return [list(perm_of_name(group.name(g))) for g in group.elements()]
+    return coset_action(group, [group.identity])
+
+
+def sign(group, images):
+    """The sign of a permutation action, a checked one-dimensional rep."""
+    values = []
+    for img in images:
+        seen, parity = set(), 0
+        for x in range(len(img)):
+            y, length = x, 0
+            while y not in seen:
+                seen.add(y)
+                y, length = img[y], length + 1
+            parity += max(length - 1, 0)
+        values.append(Cyclotomic.from_rational(-1 if parity % 2 else 1))
+    return Representation.one_dimensional(group, values)
+
+
+def audited(obj):
+    """``obj`` after asserting that it is flagged and passes in full."""
+    assert obj.validated, obj
+    problems = obj.validate()
+    assert problems in (True, []), problems
+    return obj
+
+
+def pairs(group):
+    for elems in subgroups(group):
+        yield subgroup_embedding(group, elems)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_trusted_representation_constructors(name):
+    group = make_group(name)
+    images = action(group)
+    perm = Representation.permutation(group, images)
+    sgn = sign(group, images)
+    assert perm.validated and sgn.validated
+    audited(Representation.trivial(group))
+    audited(Representation.trivial(group, 2))
+    audited(Representation.zero_dimensional(group))
+    if group.size <= 8:
+        audited(Representation.regular(group))
+    audited(direct_sum(perm, sgn))
+    audited(tensor(perm, sgn))
+    audited(dual(perm))
+    for k in (0, 2):
+        audited(exterior_power(perm, k))
+    for sub, emb in pairs(group):
+        res = audited(restrict(emb, perm))
+        if emb.index <= MAX_INDEX:
+            audited(induce(emb, Representation.trivial(sub)))
+            audited(induce(emb, restrict(emb, sgn)))
+            if res.dim * emb.index <= 2 * MAX_INDEX:
+                audited(induce(emb, res))
+
+
+def two_term(group):
+    """A checked complex: the coordinate sum of a permutation action onto
+    the trivial line."""
+    perm = Representation.permutation(group, action(group))
+    ones = Matrix.from_rows([[1] * perm.dim])
+    return EquivariantComplex(group, 0, (perm, Representation.trivial(group)), (ones,))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_trusted_complex_constructors(name):
+    group = make_group(name)
+    c = two_term(group)
+    assert c.validated
+    audited(EquivariantComplex.single(c.pieces[0], 1))
+    audited(shift(c))
+    ident = audited(ChainMap.identity(c))
+    cone = audited(mapping_cone(ident))
+    audited(mapping_cone(audited(ChainMap.identity(cone))))
+    # a cone of a checked chain map that is not the identity
+    line = EquivariantComplex(
+        group, 0, (Representation.trivial(group),) * 2, (Matrix.zero(1, 1),)
+    )
+    phi = ChainMap(line, line, (Matrix.identity(1), Matrix.from_rows([[2]])))
+    assert phi.validated
+    audited(mapping_cone(phi))
+
+
+def groupoid_outputs(group, sub, emb):
+    """Every trusted groupoid constructor once, on the pair pt/H -> pt/G."""
+    pt_sub = FiniteGroupoid.from_group(sub)
+    pt_grp = FiniteGroupoid.from_group(group)
+    functor = StrictFunctor(pt_sub, pt_grp, [0], list(emb.mapping))
+    assert pt_sub.validated and pt_grp.validated and functor.validated
+    out = [FiniteGroupoid.product(pt_sub, pt_grp)]
+    out.append(StrictFunctor.identity(pt_grp))
+    out.append(functor.then(out[-1]))
+    bibundle = GeneralizedMorphism.from_functor(functor)
+    first, second = factorize(bibundle)
+    out += [bibundle, bibundle.graph(), first, second, first.compose(second)]
+    out.append(GeneralizedMorphism.identity(pt_sub).compose(bibundle))
+    isrc, idst = inertia(pt_sub), inertia(pt_grp)
+    out += [isrc.groupoid, isrc.beta, idst.groupoid, idst.beta]
+    out.append(inertia_of_morphism(bibundle, isrc, idst))
+    out.append(inertia_of_morphism(bibundle))
+    base = FiniteGroupoid.translation(
+        group, group.size // sub.size, coset_action(group, emb.mapping)
+    )
+    piece, incl = base.full_subgroupoid([0, base.num_objects - 1])
+    out += [base, piece, incl, inertia(base).groupoid, inertia(base).beta]
+    return out
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_trusted_groupoid_constructors(name):
+    group = make_group(name)
+    for sub, emb in pairs(group):
+        for obj in groupoid_outputs(group, sub, emb):
+            audited(obj)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_morita_components_are_flagged(name):
+    group = make_group(name)
+    images = action(group)
+    for comp in morita_decompose_inertia(group, len(images[0]), images):
+        audited(comp.equivalence)
+        assert comp.equivalence.is_morita()
+        for pm in comp.point_models:
+            audited(pm.equivalence)
+            audited(pm.piece)
+
+
+# -- propagation: an unflagged input gives an unflagged output ---------------
+
+
+@pytest.fixture(scope="module")
+def s3_pair():
+    s3 = FiniteGroup.symmetric(3)
+    sub, emb = subgroup_embedding(s3, [0, 2])
+    return s3, sub, emb
+
+
+def non_homomorphism(group):
+    """A one-dimensional 'representation' sending everything but the
+    identity to -1, built unchecked."""
+    values = [1 if g == group.identity else -1 for g in group.elements()]
+    return Representation.one_dimensional(group, values, check=False)
+
+
+def test_restrict_and_induce_of_unchecked_rep_stay_unflagged(s3_pair):
+    s3, sub, emb = s3_pair
+    bad = non_homomorphism(s3)
+    assert not bad.validated
+    down = restrict(emb, bad)
+    assert not down.validated
+    # on C2 the restriction happens to be the sign: unflagged, yet valid
+    assert down.validate() == []
+    up = induce(emb, Representation.one_dimensional(sub, [1, 2], check=False))
+    assert not up.validated
+    for rep, pair in ((bad, "(1, 2)"), (up, "(1, 1)")):
+        message = "multiplicativity fails at pair %s" % pair
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            rrg._require_valid(rep)
+    assert not direct_sum(Representation.trivial(s3), bad).validated
+    assert not tensor(bad, Representation.trivial(s3)).validated
+    assert not dual(bad).validated
+    assert not exterior_power(bad, 1).validated
+    assert not Representation.cyclic_weight(FiniteGroup.cyclic(3), 1).validated
+
+
+def test_cone_of_unchecked_complex_stays_unflagged(s3_pair):
+    s3, sub, _ = s3_pair
+    triv = Representation.trivial(sub)
+    sgn = Representation.one_dimensional(sub, [1, -1])
+    broken = EquivariantComplex(sub, 0, (triv, sgn), (Matrix.from_rows([[1]]),), check=False)
+    assert not broken.validated
+    assert not EquivariantComplex.single(non_homomorphism(sub)).validated
+    assert not shift(broken).validated
+    ident = ChainMap.identity(broken)
+    assert not ident.validated
+    cone = mapping_cone(ident)
+    assert not cone.validated
+    with pytest.raises(
+        ValueError, match=r"^differential at degree -1 is not equivariant at element 1$"
+    ):
+        rrg._require_valid(cone)
+    # one unflagged input among flagged ones is enough
+    good = two_term(s3)
+    phi = ChainMap(good, good, ChainMap.identity(good).mats, check=False)
+    assert not mapping_cone(phi).validated
+
+
+def test_groupoid_constructors_check_unflagged_inputs(monkeypatch):
+    g = FiniteGroupoid.from_group(FiniteGroup.quaternion())
+    comp = dict(g.comp)
+    plain = FiniteGroupoid(1, g.source, g.target, comp, g.units, g.inverses, check=False)
+    assert not plain.validated
+    calls = count_calls(monkeypatch, FiniteGroupoid)
+    prod = FiniteGroupoid.product(g, plain)
+    ig = inertia(plain)
+    assert calls == [prod, ig.groupoid] and prod.validated and ig.groupoid.validated
+    assert not StrictFunctor.identity(plain).validated
+    comp[(1, 1)], comp[(2, 2)] = comp[(2, 2)], comp[(1, 1)]
+    tampered = FiniteGroupoid(1, g.source, g.target, comp, g.units, g.inverses, check=False)
+    for build, message in (
+        (lambda: FiniteGroupoid.product(g, tampered),
+         "arrow 1 composed with its inverse is not a unit"),
+        (lambda: inertia(tampered), "composite (10, 1) has wrong endpoints"),
+        (lambda: GeneralizedMorphism.identity(tampered), "left action is not associative"),
+    ):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            build()
+
+
+# -- consumers skip flagged objects; validate() always runs -----------------
+
+
+def count_calls(monkeypatch, cls):
+    """Record the object of every ``cls.validate`` call, then run it."""
+    calls = []
+    original = cls.validate
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(cls, "validate", counted)
+    return calls
+
+
+def test_require_valid_skips_flagged_objects(monkeypatch, s3_pair):
+    s3, sub, emb = s3_pair
+    chart = Representation.permutation(s3, action(s3))
+    line = EquivariantComplex.single(Representation.trivial(sub))
+    cx = mapping_cone(ChainMap.identity(line))
+    big = two_term(s3)
+    assert chart.validated and cx.validated and big.validated
+    rep_calls = count_calls(monkeypatch, Representation)
+    cx_calls = count_calls(monkeypatch, EquivariantComplex)
+    rrg._require_valid(chart)
+    rrg._require_valid(cx)
+    assert rrg.check_iso_spatial(rrg.IsoSpatialScenario(emb, chart, cx)).passed
+    assert rrg.check_functoriality(emb, big).passed
+    assert rep_calls == [] and cx_calls == []
+    assert chart.validate() == [] and cx.validate() == []
+    assert rep_calls == [chart] and cx_calls == [cx]
+    unflagged = EquivariantComplex(s3, 0, big.pieces, big.diffs, check=False)
+    rrg._require_valid(unflagged)
+    assert cx_calls[-1] is unflagged
+
+
+def test_is_morita_skips_flagged_bibundles(monkeypatch):
+    q8 = FiniteGroup.quaternion()
+    pt = FiniteGroupoid.from_group(q8)
+    ident = GeneralizedMorphism.identity(pt)
+    calls = count_calls(monkeypatch, GeneralizedMorphism)
+    assert ident.validated and ident.is_morita()
+    assert calls == []
+    assert ident.validate() is True
+    assert calls == [ident]
+    plain = GeneralizedMorphism(
+        pt, pt, ident.rho, ident.sigma, ident.left, ident.right, check=False
+    )
+    assert plain.is_morita()
+    assert calls[-1] is plain
+
+
+def test_embedding_pipeline_checks_no_bibundle(monkeypatch, s3_pair):
+    """From checked groupoids and functor on, the calculus of the
+    ``groupoid_embeddings`` benchmark item checks no bibundle again."""
+    s3, sub, emb = s3_pair
+    pt_sub, pt_grp = FiniteGroupoid.from_group(sub), FiniteGroupoid.from_group(s3)
+    functor = StrictFunctor(pt_sub, pt_grp, [0], list(emb.mapping))
+    calls = count_calls(monkeypatch, GeneralizedMorphism)
+    groupoid_calls = count_calls(monkeypatch, FiniteGroupoid)
+    bibundle = GeneralizedMorphism.from_functor(functor)
+    bibundle.graph()
+    first, second = factorize(bibundle)
+    first.compose(second)
+    inertia_of_morphism(bibundle)
+    comps = morita_decompose_inertia(s3, 3, action(s3))
+    assert all(comp.equivalence.is_morita() for comp in comps)
+    assert calls == []
+    # the checked groupoids are the boundary ones of the Morita
+    # decomposition: the translation groupoid, one model per component
+    # and one point groupoid per point model; every other one is derived
+    boundary = 1 + len(comps) + sum(len(comp.point_models) for comp in comps)
+    assert len(groupoid_calls) == boundary
+
+
+# -- flags cannot go stale --------------------------------------------------
+
+
+def test_tables_are_read_only(s3_pair):
+    s3, sub, emb = s3_pair
+    g = FiniteGroupoid.from_group(s3)
+    functor = StrictFunctor(FiniteGroupoid.from_group(sub), g, [0], list(emb.mapping))
+    f = GeneralizedMorphism.from_functor(functor)
+    tables = (g.source, g.target, g.units, g.inverses, g.comp.flat)
+    for arr in tables + (f.rho, f.sigma, f.left.flat, f.right.flat):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    assert g.validated and g.validate() is True and f.validate() is True
+    # the tables are private copies: an array the caller kept stays its own
+    source = np.zeros(s3.size, dtype=np.int64)
+    pt = FiniteGroupoid(1, source, g.target, g.comp, g.units, g.inverses)
+    source[0] = 1
+    assert pt.source[0] == 0 and pt.validate() is True
