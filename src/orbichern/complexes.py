@@ -18,13 +18,20 @@ import random
 
 from .exactnum import Cyclotomic
 from .linalg import Matrix, block
-from .reps import Representation, VirtualCharacter, _derived, character, direct_sum
+from .reps import (
+    Representation,
+    VirtualCharacter,
+    _derived,
+    _Flagged,
+    character,
+    direct_sum,
+)
 
 _EQUIV_EXHAUSTIVE = 60
 _EQUIV_SAMPLES = 1000
 
 
-class EquivariantComplex:
+class EquivariantComplex(_Flagged):
     """Pieces E^k for k in a contiguous degree window, with d_k: E^k -> E^{k+1}.
 
     ``validated`` follows the rule of `Representation`: a passed
@@ -161,7 +168,7 @@ def cohomology(c) -> list:
     return out
 
 
-class ChainMap:
+class ChainMap(_Flagged):
     """A degreewise equivariant map commuting with the differentials.
 
     ``validated`` as for `EquivariantComplex`; `identity` is trusted.

@@ -21,7 +21,23 @@ _HOM_SAMPLES = 1000
 _EXTERIOR_CAP = 12
 
 
-class Representation:
+class _Flagged:
+    """Base of the objects that carry a ``validated`` flag.
+
+    Rebinding any other slot clears the flag, so an object whose data
+    changed after its check is checked again where it is consumed.
+    Constructors therefore set the flag last.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name != "validated":
+            object.__setattr__(self, "validated", False)
+
+
+class Representation(_Flagged):
     """A homomorphism from a finite group into exact invertible matrices.
 
     ``validated`` is True when a ``check=True`` construction passed, or

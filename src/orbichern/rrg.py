@@ -160,9 +160,15 @@ def _quotient_representation(ambient, inclusion, sub):
     """Action induced on the cokernel of an equivariant inclusion."""
     wd, vd = ambient.dim, sub.dim
     if inclusion.shape() != (wd, vd):
-        raise ValueError("inclusion matrix has the wrong shape")
-    if inclusion.rank() != vd:
-        raise ValueError("inclusion is not injective")
+        raise ValueError(
+            "inclusion matrix has the wrong shape: %s, expected %s (ambient dim, sub dim)"
+            % (inclusion.shape(), (wd, vd))
+        )
+    rank = inclusion.rank()
+    if rank != vd:
+        raise ValueError(
+            "inclusion is not injective: rank %d, sub dim %d" % (rank, vd)
+        )
     for g in range(ambient.group.size):
         if ambient.mats[g] * inclusion != inclusion * sub.mats[g]:
             raise ValueError("inclusion is not equivariant at element %d" % g)

@@ -22,9 +22,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
-from .exactnum import Cyclotomic, _int_vec, _reduction_rows, euler_phi
+from .exactnum import Cyclotomic, _conv, _make, euler_phi
 
 __all__ = [
     "GradedSeries",
@@ -58,57 +58,11 @@ def _grlex_key(exps):
 
 # -- integer kernel ---------------------------------------------------------
 #
-# Bulk series arithmetic flattens every coefficient to an integer vector over
-# a common denominator in one fixed Q(zeta_n); the convolution then runs on
-# machine integers and Fractions are rebuilt once per output monomial.
-
-
-def _flat_entry(v: Cyclotomic, n, phi):
-    """(integer vector, denominator) for v viewed inside Q(zeta_n)."""
-    if v.order == n:
-        return _int_vec(v.coeffs)
-    if v.is_rational():
-        q = v.coeffs[0]
-        return [q.numerator] + [0] * (phi - 1), q.denominator
-    return _int_vec(v.lift(n).coeffs)
-
-
-def _vec_mul(a, b, n, phi, rows):
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
-    if len(conv) > n:
-        for k in range(n, len(conv)):
-            if conv[k]:
-                conv[k % n] += conv[k]
-        del conv[n:]
-    out = conv[:phi]
-    for j in range(phi, len(conv)):
-        c = conv[j]
-        if c:
-            row = rows[j - phi]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += c * row[i]
-    return out
-
-
-def _acc_add(acc, key, vec, den):
-    """Accumulate vec/den into acc[key], aligning denominators."""
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = (vec, den)
-    else:
-        v0, d0 = cur
-        if d0 == den:
-            acc[key] = ([x + y for x, y in zip(v0, vec)], d0)
-        else:
-            g = gcd(d0, den)
-            m0, m1 = den // g, d0 // g
-            acc[key] = ([x * m0 + y * m1 for x, y in zip(v0, vec)], d0 * m0)
+# Bulk series arithmetic stays in the integer form that Cyclotomic stores:
+# every coefficient is lifted into one fixed Q(zeta_n) and scaled to one
+# common denominator, products go through the convolution of exactnum
+# (`_conv`), sums are plain integer adds, and each output monomial becomes
+# a Cyclotomic by one `_make`.
 
 
 def _common_order(*value_lists):
@@ -119,41 +73,30 @@ def _common_order(*value_lists):
     return n
 
 
-_F0 = Fraction(0)
+def _over_common_den(values, n):
+    """Numerator vectors of values inside Q(zeta_n) over one denominator."""
+    lifted = [v.lift(n) for v in values]
+    den = lcm(1, *(v.den for v in lifted))
+    return [[x * (den // v.den) for x in v.num] for v in lifted], den
 
 
-def _fast_fraction(num, den):
-    # Fraction(num, den) without its Python-level constructor; den must be
-    # positive.  Fractions are immutable, so every zero shares one object.
-    if not num:
-        return _F0
-    g = gcd(num, den)
-    f = object.__new__(Fraction)
-    f._numerator = num // g
-    f._denominator = den // g
-    return f
-
-
-def _rebuild(num_vars, trunc_degree, n, acc) -> "GradedSeries":
-    out = {}
-    for key, (vec, den) in acc.items():
-        if any(vec):
-            out[key] = Cyclotomic(
-                n, tuple([_fast_fraction(x, den) for x in vec]), _canonical=True
-            )
-    return GradedSeries._raw(num_vars, trunc_degree, out)
+def _rebuild(n, acc, den) -> dict:
+    """The coefficient dict whose x^key entry is acc[key]/den in Q(zeta_n)."""
+    return {key: _make(n, vec, den) for key, vec in acc.items() if any(vec)}
 
 
 class GradedSeries:
     """Polynomial truncation of a power series in num_vars variables.
 
     `factors` is None, or the one-variable columns (j, col) whose outer
-    product this series was built as (see `_outer_product`); invert_unit
-    inverts such a series column by column.  Series are not modified
-    after construction, so recorded columns stay valid.
+    product this series is (see `_outer_product`); invert_unit inverts
+    such a series column by column.  The coefficient dict of an outer
+    product is built on its first read of `coeffs`, so a series that is
+    only inverted is never expanded.  Series are not modified after
+    construction, so recorded columns stay valid.
     """
 
-    __slots__ = ("num_vars", "trunc_degree", "coeffs", "factors")
+    __slots__ = ("num_vars", "trunc_degree", "_coeffs", "factors")
 
     def __init__(self, num_vars, trunc_degree, coeffs=None):
         if trunc_degree < 0:
@@ -171,7 +114,7 @@ class GradedSeries:
             val = _coerce(val)
             if not val.is_zero():
                 clean[exps] = val
-        self.coeffs = clean
+        self._coeffs = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -181,9 +124,16 @@ class GradedSeries:
         s = GradedSeries.__new__(GradedSeries)
         s.num_vars = num_vars
         s.trunc_degree = trunc_degree
-        s.coeffs = coeffs
+        s._coeffs = coeffs
         s.factors = None
         return s
+
+    @property
+    def coeffs(self) -> dict:
+        """Exponent tuple -> nonzero coefficient; an outer product expands here."""
+        if self._coeffs is None:
+            self._coeffs = _expand(self.num_vars, self.trunc_degree, self.factors)
+        return self._coeffs
 
     @staticmethod
     def zero(num_vars, trunc_degree) -> "GradedSeries":
@@ -270,26 +220,24 @@ class GradedSeries:
                 if v1 == _CYC_ONE:
                     return _shift(series, e1)
         n = _common_order(self.coeffs.values(), other.coeffs.values())
-        phi = euler_phi(n)
-        rows = _reduction_rows(n) if n > phi else ()
-        lhs = [
-            (sum(e), e, _flat_entry(v, n, phi)) for e, v in self.coeffs.items()
-        ]
-        rhs = [
-            (sum(e), e, _flat_entry(v, n, phi)) for e, v in other.coeffs.items()
-        ]
-        rhs.sort(key=lambda t: t[0])
+        va, da = _over_common_den(self.coeffs.values(), n)
+        vb, db = _over_common_den(other.coeffs.values(), n)
+        lhs = [(sum(e), e, v) for e, v in zip(self.coeffs, va)]
+        rhs = sorted(
+            ((sum(e), e, v) for e, v in zip(other.coeffs, vb)), key=lambda t: t[0]
+        )
         acc = {}
-        for d1, e1, (va, da) in lhs:
+        for d1, e1, a in lhs:
             budget = d - d1
             if budget < 0:
                 continue
-            for d2, e2, (vb, db) in rhs:
+            for d2, e2, b in rhs:
                 if d2 > budget:
                     break
-                key = tuple(a + b for a, b in zip(e1, e2))
-                _acc_add(acc, key, _vec_mul(va, vb, n, phi, rows), da * db)
-        return _rebuild(self.num_vars, d, n, acc)
+                key = tuple(x + y for x, y in zip(e1, e2))
+                prod, cur = _conv(n, a, b), acc.get(key)
+                acc[key] = prod if cur is None else [s + t for s, t in zip(cur, prod)]
+        return GradedSeries._raw(self.num_vars, d, _rebuild(n, acc, da * db))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -354,6 +302,8 @@ def series_mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
 
 def _shift(s: GradedSeries, exps) -> GradedSeries:
     """s times the monomial x^exps, truncated."""
+    if not any(exps):
+        return s
     budget = s.trunc_degree - sum(exps)
     out = {
         tuple(a + b for a, b in zip(exps, e2)): v2
@@ -385,46 +335,48 @@ def _outer_product(num_vars, trunc_degree, factors) -> GradedSeries:
     """The truncated product of one-variable columns, recorded on the result.
 
     factors lists (j, col) with distinct variables j; col[k], k = 0..D, is
-    the coefficient of x_j^k.  The x^a coefficient is prod_j col_j[a_j], formed
-    over the integers in one Q(zeta_n): a depth-first walk over the factors
-    keeps each prefix product as an integer numerator vector over one
-    positive denominator, so every monomial extending a prefix shares it,
-    and each coefficient becomes a Cyclotomic once, when materialised.
+    the coefficient of x_j^k.  Only the columns are stored: the
+    coefficient dict is expanded by `_expand` when `coeffs` is first read.
     """
     d = trunc_degree
-    factors = tuple((j, tuple(col[: d + 1])) for j, col in factors)
+    s = GradedSeries._raw(num_vars, d, None)
+    s.factors = tuple((j, tuple(col[: d + 1])) for j, col in factors)
+    return s
+
+
+def _expand(num_vars, trunc_degree, factors) -> dict:
+    """The coefficient dict of the outer product of factors.
+
+    The x^a coefficient is prod_j col_j[a_j], formed over the integers in
+    one Q(zeta_n), each column over its own common denominator: a
+    depth-first walk over the factors keeps each prefix product as one
+    numerator vector, so every monomial extending a prefix shares it, and
+    each coefficient becomes a Cyclotomic once, at the leaf.
+    """
     n = _common_order(*(col for _, col in factors))
-    phi = euler_phi(n)
-    rows = _reduction_rows(n) if n > phi else ()
-    flat = [
-        (
-            j,
-            [(k, _flat_entry(v, n, phi)) for k, v in enumerate(col) if not v.is_zero()],
-        )
-        for j, col in factors
-    ]
+    flat = []
+    den = 1
+    for j, col in factors:
+        vecs, cden = _over_common_den(col, n)
+        flat.append((j, [(k, v) for k, v in enumerate(vecs) if any(v)]))
+        den *= cden
     acc = {}
     exps = [0] * num_vars
 
-    def extend(i, budget, vec, den):
+    def extend(i, budget, vec):
         if i == len(flat):
-            acc[tuple(exps)] = (vec, den)
+            acc[tuple(exps)] = vec
             return
         j, entries = flat[i]
-        for k, (v, dv) in entries:
+        for k, v in entries:
             if k > budget:
                 break
             exps[j] = k
-            if i:
-                extend(i + 1, budget - k, _vec_mul(vec, v, n, phi, rows), den * dv)
-            else:
-                extend(1, budget - k, v, dv)
+            extend(i + 1, budget - k, _conv(n, vec, v) if i else v)
         exps[j] = 0
 
-    extend(0, d, [1] + [0] * (phi - 1), 1)
-    out = _rebuild(num_vars, d, n, acc)
-    out.factors = factors
-    return out
+    extend(0, trunc_degree, [1] + [0] * (euler_phi(n) - 1))
+    return _rebuild(n, acc, den)
 
 
 def _axis_factors(s: GradedSeries):
@@ -463,12 +415,19 @@ def invert_unit(s: GradedSeries) -> GradedSeries:
     slices.  A series that does not split, writing s = c(1 + t), is
     inverted by the recurrence b_m = -sum_k t_k b_{m-|k|}, which fills the
     inverse degree by degree at the cost of about one series product.
+    Recorded columns are checked by their constants, the factors of the
+    constant term, so an unexpanded outer product stays unexpanded.
     """
-    c = s.constant_term
-    if c.is_zero():
-        raise ValueError("not a unit: zero constant term")
     d = s.trunc_degree
-    split = s.factors if s.factors is not None else _axis_factors(s)
+    if s.factors is not None:
+        if any(col[0].is_zero() for _, col in s.factors):
+            raise ValueError("not a unit: zero constant term")
+        split = s.factors
+    else:
+        c = s.constant_term
+        if c.is_zero():
+            raise ValueError("not a unit: zero constant term")
+        split = _axis_factors(s)
     if split is not None:
         return _outer_product(
             s.num_vars, d, [(j, _univar_inverse(col)) for j, col in split]
@@ -600,22 +559,28 @@ def _degs_within(k, budget):
             yield (a,) + rest
 
 
-@lru_cache(maxsize=None)
-def _koszul_weights(size, trunc_degree):
-    """(degs, numerator, denominator) of (-1)^size prod_j (-1)^{a_j}/a_j!.
+@lru_cache(maxsize=1024)
+def _koszul_terms(vars_in, num_vars, trunc_degree):
+    """(exponents, weight * D!) for a subset of lines on the variables vars_in.
 
-    The weight of a subset S at the degrees degs depends on S only through
-    its size, so one table serves every subset of that size.
+    The weight at the degrees a is (-1)^|S| prod_j (-1)^{a_j}/a_j!, and
+    prod_j a_j! divides D! because sum_j a_j <= D, so weight * D! is an
+    integer.  It depends on the subset only through its variables, so one
+    table serves every model with those variables; the cache is bounded
+    because a model with r lines has 2^r subsets.
     """
+    full = factorial(trunc_degree)
     rows = []
-    for degs in _degs_within(size, trunc_degree):
-        wnum = -1 if size % 2 else 1
+    for degs in _degs_within(len(vars_in), trunc_degree):
+        w = -1 if len(vars_in) % 2 else 1
         wden = 1
-        for a in degs:
+        exps = [0] * num_vars
+        for j, a in zip(vars_in, degs):
             if a % 2:
-                wnum = -wnum
+                w = -w
             wden *= factorial(a)
-        rows.append((degs, wnum, wden))
+            exps[j] = a
+        rows.append((tuple(exps), w * (full // wden)))
     return tuple(rows)
 
 
@@ -624,28 +589,28 @@ def koszul_ch(model: NormalModel) -> GradedSeries:
 
     Expanded directly: the x^a coefficient picks up, from each subset S
     containing the support of a, the multinomial weight
-    prod_j (-1)^{a_j}/a_j!.  No series multiplication is involved.
+    prod_j (-1)^{a_j}/a_j!.  No series multiplication is involved.  All
+    terms share the denominator lcm(zeta-product denominators) * D!, so
+    the sum runs as integer adds.
     """
     r, d = model.num_vars, model.trunc_degree
-    order = 1
-    for zeta, _ in model.lines:
-        order = lcm(order, zeta.order)
-    phi = euler_phi(order)
+    order = _common_order(zeta for zeta, _ in model.lines)
     # zfacs[mask] is the product of zeta^{-1} over the lines in mask
     zfacs = [Cyclotomic.one()]
     for zeta, _ in model.lines:
         zinv = zeta.inverse()
         zfacs += [z * zinv for z in zfacs]
+    zvecs, zden = _over_common_den(zfacs, order)
     acc = {}
-    for mask, zfac in enumerate(zfacs):
-        zvec, zden = _flat_entry(zfac, order, phi)
-        vars_in = [j for i, (_, j) in enumerate(model.lines) if mask >> i & 1]
-        for degs, wnum, wden in _koszul_weights(len(vars_in), d):
-            exps = [0] * r
-            for j, a in zip(vars_in, degs):
-                exps[j] = a
-            _acc_add(acc, tuple(exps), [x * wnum for x in zvec], zden * wden)
-    return _rebuild(r, d, order, acc)
+    for mask, zvec in enumerate(zvecs):
+        vars_in = tuple(j for i, (_, j) in enumerate(model.lines) if mask >> i & 1)
+        for key, w in _koszul_terms(vars_in, r, d):
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = [x * w for x in zvec]
+            else:
+                acc[key] = [c + x * w for c, x in zip(cur, zvec)]
+    return GradedSeries._raw(r, d, _rebuild(order, acc, zden * factorial(d)))
 
 
 class ZeroSectionReport:

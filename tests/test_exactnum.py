@@ -13,6 +13,8 @@ from orbichern.exactnum import (
     euler_phi,
 )
 
+import cyclotomic_oracle as oracle
+
 E = Cyclotomic.root_of_unity
 
 
@@ -177,3 +179,63 @@ def test_printer_smoke():
     assert str(-E(3)) == "-E(3)"
     assert str(1 - 2 * E(3)) == "1 - 2*E(3)"
     assert str(E(4) ** 2) == "-1"
+
+
+# -- the integer kernel against the Fraction-coordinate oracle --------------
+
+ORACLE_ORDERS = list(range(1, 13)) + [15, 16, 20, 24, 48]
+
+
+def _oracle_pair(rng):
+    """The same random value as a Cyclotomic and as an oracle Cyclotomic.
+
+    Coefficients run past phi(order), and sometimes past order, so the
+    fold and the Phi_order reduction both run; some values are rational
+    and a few are zero.
+    """
+    order = rng.choice(ORACLE_ORDERS)
+    kind = rng.random()
+    if kind < 0.1:
+        raw = []
+    elif kind < 0.3:
+        raw = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))]
+    else:
+        raw = [
+            Fraction(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < 0.6 else 0
+            for _ in range(rng.randint(1, order + 3))
+        ]
+    return Cyclotomic(order, raw), oracle.Cyclotomic(order, raw)
+
+
+def _same(new, old):
+    """Equal values in the same field, new in its canonical integer form."""
+    canonical = new.den > 0 and math.gcd(new.den, *new.num) == 1
+    return canonical and new.order == old.order and new.coeffs == old.coeffs
+
+
+def test_integer_kernel_matches_oracle():
+    rng = random.Random(20261018)
+    for _ in range(250):
+        a, oa = _oracle_pair(rng)
+        b, ob = _oracle_pair(rng)
+        assert _same(a, oa)
+        assert _same(a + b, oa + ob) and _same(a - b, oa - ob)
+        assert _same(a * b, oa * ob)
+        assert _same(-a, -oa) and _same(a.conjugate(), oa.conjugate())
+        assert (a == b) == (oa == ob) and a == a.lift(a.order * 2)
+        m = math.lcm(a.order, 2, 3)
+        assert _same(a.lift(m), oa.lift(m))
+        assert _same(a.descend(), oa.descend()) and str(a) == str(oa)
+        assert hash(a) == hash(a.lift(m)) == hash(a.descend())
+        if a.descend().order == 1:
+            assert hash(a) == hash(a.as_rational())
+        if not b.is_zero():
+            assert _same(b.inverse(), ob.inverse())
+            assert _same(a / b, oa / ob)
+            k = rng.randint(-3, 3)
+            assert _same(b**k, ob**k)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        assert _same(a + q, oa + q) and _same(q * a, q * oa) and _same(q - a, q - oa)

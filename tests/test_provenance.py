@@ -362,3 +362,39 @@ def test_tables_are_read_only(s3_pair):
     pt = FiniteGroupoid(1, source, g.target, g.comp, g.units, g.inverses)
     source[0] = 1
     assert pt.source[0] == 0 and pt.validate() is True
+
+
+# -- rebinding a data slot clears the flag ----------------------------------
+
+
+def test_rebinding_a_representation_slot_clears_the_flag(s3_pair):
+    s3, _, _ = s3_pair
+    rep = Representation.trivial(s3)
+    assert rep.validated
+    rep.mats = Representation.one_dimensional(s3, [-1] * s3.size, check=False).mats
+    assert not rep.validated
+    message = "identity does not map to the identity matrix"
+    assert rep.validate()[0] == message
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        rrg._require_valid(rep)
+    # the flag itself may be set again; a fresh check passes on valid data
+    rep.mats = Representation.trivial(s3).mats
+    assert not rep.validated
+    rrg._require_valid(rep)
+
+
+def test_rebinding_a_complex_or_chain_map_slot_clears_the_flag(s3_pair):
+    s3, sub, _ = s3_pair
+    cx = two_term(s3)
+    assert cx.validated
+    cx.diffs = (Matrix.from_rows([[1] + [0] * (cx.pieces[0].dim - 1)]),)
+    assert not cx.validated
+    with pytest.raises(
+        ValueError, match=r"^differential at degree 0 is not equivariant at element \d+$"
+    ):
+        rrg._require_valid(cx)
+    line = EquivariantComplex.single(Representation.trivial(sub))
+    ident = ChainMap.identity(line)
+    assert ident.validated
+    ident.mats = (Matrix.from_rows([[2]]),)
+    assert not ident.validated

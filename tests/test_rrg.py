@@ -165,6 +165,27 @@ def test_zero_section_reflection_line():
     assert report.entries[1].rhs == "2"
 
 
+def test_zero_section_inclusion_names_its_witness():
+    c2 = FiniteGroup.cyclic(2)
+    sub = Representation.trivial(c2)
+    ambient = direct_sum(sub, Representation.one_dimensional(c2, (1, -1)))
+    for inclusion, message in (
+        (
+            Matrix.from_rows([[1]]),
+            r"^inclusion matrix has the wrong shape: \(1, 1\), expected \(2, 1\) "
+            r"\(ambient dim, sub dim\)$",
+        ),
+        (
+            Matrix.from_rows([[0], [0]]),
+            r"^inclusion is not injective: rank 0, sub dim 1$",
+        ),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ZeroSectionScenario(c2, sub, ambient, inclusion, line(c2), 4)
+    sc = ZeroSectionScenario(c2, sub, ambient, Matrix.from_rows([[1], [0]]), line(c2), 4)
+    assert sc.normal.dim == 1
+
+
 def test_zero_section_euler_omission_fails():
     c2, sub, ambient, inclusion = c2_minus_line()
     sc = ZeroSectionScenario(c2, sub, ambient, inclusion, line(c2), 4)

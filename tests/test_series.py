@@ -18,7 +18,7 @@ from orbichern.series import (
     todd_delocalized,
     zero_section_identity,
 )
-from orbichern.series import _axis_factors, _todd_line
+from orbichern.series import _axis_factors, _outer_product, _todd_line
 
 E = Cyclotomic.root_of_unity
 F = Fraction
@@ -134,7 +134,22 @@ def test_todd_outer_product_matches_product_chain():
         chain = GradedSeries.one(r, d)
         for zeta, j in model.lines:
             chain = chain * _axis(r, d, j, _todd_line(zeta, d))
-        assert todd_delocalized(model) == chain, model
+        todd = todd_delocalized(model)
+        # inverting reads only the recorded columns; coeffs expands on first read
+        assert invert_unit(todd)._coeffs is None and todd._coeffs is None
+        assert todd == chain, model
+        assert todd.coeffs is todd.coeffs
+
+
+def test_invert_recorded_factors_with_zero_constant():
+    zero, one = Cyclotomic.zero(), Cyclotomic.one()
+    unit = (one, one, zero)
+    for cols in ([(0, (zero, one, zero))], [(0, unit), (1, (zero, zero, one))]):
+        s2 = _outer_product(2, 2, cols)
+        with pytest.raises(ValueError, match="^not a unit: zero constant term$"):
+            invert_unit(s2)
+        assert s2._coeffs is None
+        assert s2.constant_term.is_zero()
 
 
 def test_invert_unit_recorded_factors_match_detection():
