@@ -396,8 +396,8 @@ def check_zero_section(sc, euler_factor="include"):
         elif euler_factor == "omit":
             lhs_series = koszul_ch(model)
             rhs_series = invert_unit(todd_delocalized(model))
-            ok = lhs_series == rhs_series
             witness = first_difference(lhs_series, rhs_series)
+            ok = witness is None
         else:
             raise ValueError("unknown euler_factor %r" % (euler_factor,))
         koszul_constant = lhs_series.constant_term

@@ -14,17 +14,22 @@ All (2*pi*i) normalizations are absorbed into the variables, so every
 coefficient stays in the cyclotomic field.  Deliberately, koszul_ch is
 computed by subset enumeration with explicit multinomial coefficients
 rather than by multiplying per-line factors, so the identity check
-compares two genuinely independent computational paths.
+compares two genuinely independent computational paths.  The subset sum
+is grouped by support: the subset products are summed over supersets
+once, and each monomial scales the sum for its support by its weight.
+The Todd side is an outer product of one-variable columns; in small
+fields it is expanded through each column entry's integer multiplication
+matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
+from operator import mul
 
-from .exactnum import Cyclotomic, _conv, _make, euler_phi
+from .exactnum import Cyclotomic, _conv, _make, _mul_rows, euler_phi
 
 __all__ = [
     "GradedSeries",
@@ -61,8 +66,15 @@ def _grlex_key(exps):
 # Bulk series arithmetic stays in the integer form that Cyclotomic stores:
 # every coefficient is lifted into one fixed Q(zeta_n) and scaled to one
 # common denominator, products go through the convolution of exactnum
-# (`_conv`), sums are plain integer adds, and each output monomial becomes
-# a Cyclotomic by one `_make`.
+# (`_conv`, or its matrix form `_mul_rows` for a repeated factor), sums are
+# plain integer adds, and each output monomial becomes a Cyclotomic by one
+# `_make`.
+
+# Largest field degree phi(n) in which `_expand` multiplies through cached
+# matrices: a matrix holds phi^2 integers, so in larger fields the cache
+# would outweigh the series it builds, and building one costs more than the
+# few products it serves there.
+_ROWS_MAX_PHI = 32
 
 
 def _common_order(*value_lists):
@@ -351,14 +363,23 @@ def _expand(num_vars, trunc_degree, factors) -> dict:
     one Q(zeta_n), each column over its own common denominator: a
     depth-first walk over the factors keeps each prefix product as one
     numerator vector, so every monomial extending a prefix shares it, and
-    each coefficient becomes a Cyclotomic once, at the leaf.
+    each coefficient becomes a Cyclotomic once, at the leaf.  In fields of
+    degree up to _ROWS_MAX_PHI each step multiplies the prefix by the
+    integer matrix of a column entry (`exactnum._mul_rows`, cached per
+    entry), since one entry meets every prefix of the walk.
     """
     n = _common_order(*(col for _, col in factors))
+    phi = euler_phi(n)
+    by_rows = phi <= _ROWS_MAX_PHI
     flat = []
     den = 1
-    for j, col in factors:
+    for i, (j, col) in enumerate(factors):
         vecs, cden = _over_common_den(col, n)
-        flat.append((j, [(k, v) for k, v in enumerate(vecs) if any(v)]))
+        entries = [(k, v) for k, v in enumerate(vecs) if any(v)]
+        if i and by_rows:
+            # past the first factor an entry only multiplies: keep its matrix
+            entries = [(k, _mul_rows(n, tuple(v))) for k, v in entries]
+        flat.append((j, entries))
         den *= cden
     acc = {}
     exps = [0] * num_vars
@@ -372,10 +393,16 @@ def _expand(num_vars, trunc_degree, factors) -> dict:
             if k > budget:
                 break
             exps[j] = k
-            extend(i + 1, budget - k, _conv(n, vec, v) if i else v)
+            if not i:
+                prod = v
+            elif by_rows:
+                prod = [sum(map(mul, row, vec)) for row in v]
+            else:
+                prod = _conv(n, vec, v)
+            extend(i + 1, budget - k, prod)
         exps[j] = 0
 
-    extend(0, trunc_degree, [1] + [0] * (euler_phi(n) - 1))
+    extend(0, trunc_degree, [1] + [0] * (phi - 1))
     return _rebuild(n, acc, den)
 
 
@@ -559,39 +586,64 @@ def _degs_within(k, budget):
             yield (a,) + rest
 
 
-@lru_cache(maxsize=1024)
-def _koszul_terms(vars_in, num_vars, trunc_degree):
-    """(exponents, weight * D!) for a subset of lines on the variables vars_in.
+@lru_cache(maxsize=256)
+def _koszul_table(line_vars, num_vars, trunc_degree):
+    """(exponents, support mask, W(a) * D!) for each monomial on line_vars.
 
-    The weight at the degrees a is (-1)^|S| prod_j (-1)^{a_j}/a_j!, and
-    prod_j a_j! divides D! because sum_j a_j <= D, so weight * D! is an
-    integer.  It depends on the subset only through its variables, so one
-    table serves every model with those variables; the cache is bounded
-    because a model with r lines has 2^r subsets.
+    The monomials a are those of total degree <= D in the variables
+    line_vars[i]; bit i of the support mask is set when a_{line_vars[i]} > 0.
+    W(a) = prod_j (-1)^{a_j}/a_j!, and prod_j a_j! divides D! because
+    sum_j a_j <= D, so W(a) * D! is an integer.  One table serves every
+    model whose lines sit on the same variables.
     """
     full = factorial(trunc_degree)
     rows = []
-    for degs in _degs_within(len(vars_in), trunc_degree):
-        w = -1 if len(vars_in) % 2 else 1
-        wden = 1
+    for degs in _degs_within(len(line_vars), trunc_degree):
+        w, wden, mask = full, 1, 0
         exps = [0] * num_vars
-        for j, a in zip(vars_in, degs):
-            if a % 2:
-                w = -w
-            wden *= factorial(a)
-            exps[j] = a
-        rows.append((tuple(exps), w * (full // wden)))
+        for i, (j, a) in enumerate(zip(line_vars, degs)):
+            if a:
+                mask |= 1 << i
+                exps[j] = a
+                wden *= factorial(a)
+                if a % 2:
+                    w = -w
+        rows.append((tuple(exps), mask, w // wden))
     return tuple(rows)
+
+
+def _support_sums(zvecs):
+    """F[T] = sum over S containing T of (-1)^{|S|} zvecs[S], for every mask T.
+
+    zvecs[S] is the numerator vector of prod_{i in S} zeta_i^{-1}.  One
+    superset-sum pass over the signed vectors gives all 2^r values with
+    r * 2^(r-1) vector adds.
+    """
+    f = [
+        [-x for x in v] if bin(mask).count("1") % 2 else v
+        for mask, v in enumerate(zvecs)
+    ]
+    bit = 1
+    while bit < len(f):
+        for mask in range(len(f)):
+            if not mask & bit:
+                f[mask] = [a + b for a, b in zip(f[mask], f[mask | bit])]
+        bit <<= 1
+    return f
 
 
 def koszul_ch(model: NormalModel) -> GradedSeries:
     """Sum over subsets S of lines of (-1)^{|S|} prod_{j in S} zeta_j^{-1} e^{-x_j}.
 
     Expanded directly: the x^a coefficient picks up, from each subset S
-    containing the support of a, the multinomial weight
-    prod_j (-1)^{a_j}/a_j!.  No series multiplication is involved.  All
-    terms share the denominator lcm(zeta-product denominators) * D!, so
-    the sum runs as integer adds.
+    containing the support T of a, the term (-1)^{|S|} prod_{j in S}
+    zeta_j^{-1} times the multinomial weight W(a) = prod_j (-1)^{a_j}/a_j!.
+    The sum is grouped by support: it is W(a) * F(T), with F(T) the sum of
+    the signed subset products over S containing T, and all 2^r values
+    of F come from one superset-sum pass (`_support_sums`).  Each
+    monomial then scales one vector.  No series multiplication is
+    involved.  All terms share the denominator
+    lcm(zeta-product denominators) * D!, so the sums are integer adds.
     """
     r, d = model.num_vars, model.trunc_degree
     order = _common_order(zeta for zeta, _ in model.lines)
@@ -601,15 +653,9 @@ def koszul_ch(model: NormalModel) -> GradedSeries:
         zinv = zeta.inverse()
         zfacs += [z * zinv for z in zfacs]
     zvecs, zden = _over_common_den(zfacs, order)
-    acc = {}
-    for mask, zvec in enumerate(zvecs):
-        vars_in = tuple(j for i, (_, j) in enumerate(model.lines) if mask >> i & 1)
-        for key, w in _koszul_terms(vars_in, r, d):
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = [x * w for x in zvec]
-            else:
-                acc[key] = [c + x * w for c, x in zip(cur, zvec)]
+    f = _support_sums(zvecs)
+    table = _koszul_table(tuple(j for _, j in model.lines), r, d)
+    acc = {exps: [w * x for x in f[mask]] for exps, mask, w in table}
     return GradedSeries._raw(r, d, _rebuild(order, acc, zden * factorial(d)))
 
 
@@ -653,7 +699,10 @@ def zero_section_identity(model: NormalModel) -> ZeroSectionReport:
         if zeta == one:
             euler_exps[j] = 1
     if sum(euler_exps) > model.trunc_degree:
-        raise ValueError("truncation degree too small for the Euler monomial")
+        raise ValueError(
+            "truncation degree %d is below %d, the degree of the Euler monomial"
+            % (model.trunc_degree, sum(euler_exps))
+        )
     rhs = _shift(invert_unit(todd_delocalized(model)), euler_exps)
     diff = first_difference(lhs, rhs)
     return ZeroSectionReport(diff is None, lhs, rhs, diff)

@@ -1,10 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from orbichern.exactnum import Cyclotomic
+from orbichern import series
+from orbichern.exactnum import Cyclotomic, euler_phi
 from orbichern.groups import FiniteGroup
 from orbichern.reps import Representation, direct_sum, lambda_minus_one
 from orbichern.series import (
@@ -18,7 +20,12 @@ from orbichern.series import (
     todd_delocalized,
     zero_section_identity,
 )
-from orbichern.series import _axis_factors, _outer_product, _todd_line
+from orbichern.series import (
+    _axis_factors,
+    _outer_product,
+    _todd_line,
+    _univar_inverse,
+)
 
 E = Cyclotomic.root_of_unity
 F = Fraction
@@ -127,18 +134,59 @@ def _axis(num_vars, trunc, j, col):
     )
 
 
+def _koszul_factor(num_vars, trunc, zeta, j):
+    """1 - zeta^{-1} e^{-x_j} as a one-variable column."""
+    zinv = zeta.inverse()
+    col = [Cyclotomic.one() - zinv] + [
+        zinv * F((-1) ** (k + 1), factorial(k)) for k in range(1, trunc + 1)
+    ]
+    return _axis(num_vars, trunc, j, col)
+
+
+def _oracle_models():
+    """Mixed orders, sparse and permuted variables, D = 0..6, empty models."""
+    shapes = [
+        # mu_5 with mu_8: the common field is Q(zeta_40)
+        ([(E(5, 1), 0), (E(8, 3), 1)], 2),
+        ([(E(5, 2), 0), (1, 1), (E(8, 5), 2)], 3),
+        ([(E(9, 2), 0), (E(9, 7), 1), (E(9, 3), 2)], 3),
+        # E(15, 0) is 1 stored at order 15: a zeta = 1 line
+        ([(E(15, 4), 0), (E(15, 11), 1), (E(15, 0), 2)], 3),
+        ([(-1, 0), (E(3, 1), 1), (E(3, 2), 2)], 3),
+        # Q(zeta_77) has degree 60: past _ROWS_MAX_PHI, so convolutions
+        ([(E(7, 1), 0), (E(11, 3), 1)], 2),
+        # more variables than lines, and lines on permuted variables
+        ([(E(12, 5), 1)], 3),
+        ([(E(12, 1), 2), (E(12, 7), 0), (E(5, 3), 3)], 4),
+        ([(E(12, 11), 2), (1, 0), (-1, 3)], 5),
+        ([], 0),
+        ([], 2),
+    ]
+    for lines, num_vars in shapes:
+        for d in range(7):
+            yield NormalModel(lines, d, num_vars=num_vars)
+
+
 def test_todd_outer_product_matches_product_chain():
+    # the oracle models reach both kinds of product in _expand
+    assert euler_phi(40) <= series._ROWS_MAX_PHI < euler_phi(77)
     edge = NormalModel([(1, 0), (1, 1), (-1, 2), (E(12, 5), 3)], 6)
-    for model in itertools.chain(_mu12_models(0x70DD, 30), [edge]):
+    for model in itertools.chain(_mu12_models(0x70DD, 30), [edge], _oracle_models()):
         r, d = model.num_vars, model.trunc_degree
         chain = GradedSeries.one(r, d)
+        inv_chain = GradedSeries.one(r, d)
         for zeta, j in model.lines:
-            chain = chain * _axis(r, d, j, _todd_line(zeta, d))
+            col = _todd_line(zeta, d)
+            chain = chain * _axis(r, d, j, col)
+            inv_chain = inv_chain * _axis(r, d, j, _univar_inverse(col))
         todd = todd_delocalized(model)
+        inv = invert_unit(todd)
         # inverting reads only the recorded columns; coeffs expands on first read
-        assert invert_unit(todd)._coeffs is None and todd._coeffs is None
+        assert inv._coeffs is None and todd._coeffs is None
         assert todd == chain, model
         assert todd.coeffs is todd.coeffs
+        assert inv == inv_chain, model
+        assert chain * inv == GradedSeries.one(r, d), model
 
 
 def test_invert_recorded_factors_with_zero_constant():
@@ -195,25 +243,87 @@ def test_koszul_empty_model_is_one():
 
 def test_koszul_agrees_with_factor_product():
     rng = random.Random(1212)
+    mu12 = []
     for _ in range(12):
         n = rng.randint(1, 4)
-        lines = [(E(12, rng.randrange(12)), j) for j in range(n)]
-        model = NormalModel(lines, 6)
-        direct = koszul_ch(model)
-        prod = GradedSeries.one(n, 6)
-        for zeta, j in lines:
-            zinv = zeta.inverse()
-            factor = GradedSeries.one(n, 6) - s(
-                n,
-                6,
-                {
-                    tuple(k if i == j else 0 for i in range(n)): zinv
-                    * F((-1) ** k, [1, 1, 2, 6, 24, 120, 720][k])
-                    for k in range(7)
-                },
-            )
-            prod = prod * factor
-        assert direct == prod
+        mu12.append(NormalModel([(E(12, rng.randrange(12)), j) for j in range(n)], 6))
+    for model in itertools.chain(mu12, _oracle_models()):
+        r, d = model.num_vars, model.trunc_degree
+        prod = GradedSeries.one(r, d)
+        for zeta, j in model.lines:
+            prod = prod * _koszul_factor(r, d, zeta, j)
+        assert koszul_ch(model) == prod, model
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the column and table caches, so no cached value hides a mutant."""
+    caches = (series._todd_line, series._univar_inverse, series._koszul_table)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+_REAL_SUPPORT_SUMS = series._support_sums
+_REAL_TODD_LINE = series._todd_line
+
+
+def _drop_koszul_sign(zvecs):
+    """Mutant: the support sum without its sign (-1)^{|S|}."""
+    # negating the odd subsets first cancels the sign of the real pass
+    flipped = [
+        [-x for x in v] if bin(m).count("1") % 2 else v for m, v in enumerate(zvecs)
+    ]
+    return _REAL_SUPPORT_SUMS(flipped)
+
+
+def _todd_line_zeta_for_inverse(zeta, trunc_degree):
+    """Mutant: _todd_line built with zeta where it takes zeta^{-1}."""
+    return _REAL_TODD_LINE(zeta.inverse(), trunc_degree)
+
+
+def _has_nonreal_line(model):
+    return any(zeta != zeta.inverse() for zeta, _ in model.lines)
+
+
+@pytest.mark.parametrize(
+    "name, mutant, exposed",
+    [
+        # a dropped sign changes the Koszul side of every model
+        ("_support_sums", _drop_koszul_sign, lambda model: True),
+        # zeta for zeta^{-1} changes nothing when every eigenvalue is real
+        ("_todd_line", _todd_line_zeta_for_inverse, _has_nonreal_line),
+    ],
+    ids=["koszul_sign_dropped", "todd_zeta_for_inverse"],
+)
+def test_code_mutant_fails_zero_section_identity(
+    fresh_caches, monkeypatch, name, mutant, exposed
+):
+    mixed = [
+        NormalModel([(E(5, 1), 0), (E(8, 3), 1)], 4),
+        NormalModel([(E(9, 2), 0), (1, 1)], 3),
+        NormalModel([(E(12, 7), 2), (E(3, 1), 0)], 5, num_vars=3),
+    ]
+    models = [m for m in _mu12_models(0x3A7, 12) if exposed(m)] + mixed
+    assert len(models) >= 12
+    assert all(zero_section_identity(m).passed for m in models)
+    monkeypatch.setattr(series, name, mutant)
+    for model in models:
+        report = zero_section_identity(model)
+        assert not report.passed, "mutant of %s survived %r" % (name, model)
+        w = report.first_mismatch
+        assert report.lhs.coefficient(w) != report.rhs.coefficient(w), model
+
+
+def test_zero_section_identity_names_both_degrees():
+    model = NormalModel([(1, 0), (E(4, 1), 1), (1, 2)], 1)
+    with pytest.raises(
+        ValueError,
+        match="^truncation degree 1 is below 2, the degree of the Euler monomial$",
+    ):
+        zero_section_identity(model)
 
 
 def test_koszul_degree_zero_matches_lambda_minus_one():
@@ -249,6 +359,9 @@ def test_zero_section_identity_empty_and_mixed():
     report = zero_section_identity(mixed)
     assert report.passed
     assert report.first_mismatch is None
+    for model in _oracle_models():
+        if sum(1 for zeta, _ in model.lines if zeta == 1) <= model.trunc_degree:
+            assert zero_section_identity(model).passed, model
 
 
 def test_zero_section_identity_all_twelfth_roots():
