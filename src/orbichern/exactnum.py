@@ -8,8 +8,9 @@ denominator `den`, with gcd(den, *num) = 1; zero is (0, ..., 0) over 1.
 The form is canonical, so equality is a tuple comparison.  Every
 operation runs on integers through one private kernel: `_reduce` (fold
 exponents modulo n, rewrite through Phi_n), `_conv` (the one
-convolution, with `_mul_rows` its matrix form for a repeated factor) and
-`_make` (one gcd to lowest terms), which `series` uses as well.
+convolution, with `_mul_rows` its matrix form for a repeated factor),
+`_lift_num` (zeta_n -> zeta_m^(m/n) on a numerator) and `_make` (one gcd
+to lowest terms), which `series` uses as well.
 Fraction coordinates are built only on request (`coeffs`).
 Binary operations on operands of different orders lift both to the least
 common order via zeta_m -> zeta_M^(M/m); results keep that common order
@@ -134,6 +135,22 @@ def _mul_rows(n, a) -> tuple:
     as a column entry does in `series._expand`.
     """
     return tuple(zip(*(_reduce(n, [0] * i + list(a)) for i in range(len(a)))))
+
+
+def _lift_num(n, m, num):
+    """The residue num of Z[zeta_n] as a residue of Z[zeta_m], m a multiple of n.
+
+    zeta_n -> zeta_m^(m/n), then reduced; num itself when m == n.  The map
+    is linear, so a numerator lifts apart from its denominator.
+    """
+    if m == n:
+        return num
+    step = m // n
+    raw = [0] * (step * (len(num) - 1) + 1)
+    for k, c in enumerate(num):
+        if c:
+            raw[k * step] = c
+    return _reduce(m, raw)
 
 
 def _make(order, num, den) -> "Cyclotomic":
@@ -293,12 +310,7 @@ class Cyclotomic:
             return self
         if order % self.order:
             raise ValueError("lift target must be a multiple of the order")
-        step = order // self.order
-        raw = [0] * (step * (len(self.num) - 1) + 1)
-        for k, c in enumerate(self.num):
-            if c:
-                raw[k * step] = c
-        return _make(order, _reduce(order, raw), self.den)
+        return _make(order, _lift_num(self.order, order, self.num), self.den)
 
     def _common(self, other):
         m = math.lcm(self.order, other.order)

@@ -20,6 +20,13 @@ once, and each monomial scales the sum for its support by its weight.
 The Todd side is an outer product of one-variable columns; in small
 fields it is expanded through each column entry's integer multiplication
 matrix.
+
+Both sides end in one integer form, (n, {exponents: numerator vector},
+den): every coefficient a nonzero residue of Z[zeta_n] over one common
+denominator.  The zero-section verdict is decided on that form, by
+cross-multiplying the two sides' residues in one field; a Cyclotomic
+coefficient is built only for a caller that reads it, and the whole
+coefficient dict only when `coeffs` is read.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
 
-from .exactnum import Cyclotomic, _conv, _make, _mul_rows, euler_phi
+from .exactnum import Cyclotomic, _conv, _lift_num, _make, _mul_rows, euler_phi
 
 __all__ = [
     "GradedSeries",
@@ -66,9 +73,9 @@ def _grlex_key(exps):
 # Bulk series arithmetic stays in the integer form that Cyclotomic stores:
 # every coefficient is lifted into one fixed Q(zeta_n) and scaled to one
 # common denominator, products go through the convolution of exactnum
-# (`_conv`, or its matrix form `_mul_rows` for a repeated factor), sums are
-# plain integer adds, and each output monomial becomes a Cyclotomic by one
-# `_make`.
+# (`_conv`, or its matrix form `_mul_rows` for a repeated factor), and sums
+# are plain integer adds.  The result is kept as the series' integer form;
+# an output monomial becomes a Cyclotomic, by one `_make`, when it is read.
 
 # Largest field degree phi(n) in which `_expand` multiplies through cached
 # matrices: a matrix holds phi^2 integers, so in larger fields the cache
@@ -87,28 +94,43 @@ def _common_order(*value_lists):
 
 def _over_common_den(values, n):
     """Numerator vectors of values inside Q(zeta_n) over one denominator."""
-    lifted = [v.lift(n) for v in values]
-    den = lcm(1, *(v.den for v in lifted))
-    return [[x * (den // v.den) for x in v.num] for v in lifted], den
+    den = lcm(1, *(v.den for v in values))
+    vecs = [
+        _lift_num(v.order, n, [x * (den // v.den) for x in v.num]) for v in values
+    ]
+    return vecs, den
 
 
-def _rebuild(n, acc, den) -> dict:
-    """The coefficient dict whose x^key entry is acc[key]/den in Q(zeta_n)."""
-    return {key: _make(n, vec, den) for key, vec in acc.items() if any(vec)}
+def _num_key(values) -> tuple:
+    """Values as (order, num, den) triples: a cache key that hashes integers."""
+    return tuple((v.order, v.num, v.den) for v in values)
 
 
 class GradedSeries:
     """Polynomial truncation of a power series in num_vars variables.
 
-    `factors` is None, or the one-variable columns (j, col) whose outer
-    product this series is (see `_outer_product`); invert_unit inverts
-    such a series column by column.  The coefficient dict of an outer
-    product is built on its first read of `coeffs`, so a series that is
-    only inverted is never expanded.  Series are not modified after
-    construction, so recorded columns stay valid.
+    A series built from coefficients holds only `coeffs`.  One built by
+    the integer kernel holds up to three forms, each made from the one
+    before it on first need:
+
+    - `factors`: None, or the one-variable columns (j, col) whose outer
+      product this series is (see `_outer_product`); invert_unit inverts
+      such a series column by column, so one that is only inverted is
+      never expanded.
+    - the integer form, `_int_form()`: (n, {exponents: numerator vector},
+      den), each vector a nonzero residue of Z[zeta_n] over the common
+      denominator den.  Products and koszul_ch stop here, and an outer
+      product expands into it; `==` and first_difference compare two
+      integer forms without building a Cyclotomic.
+    - `coeffs`: exponents -> nonzero Cyclotomic, one `_make` each, built
+      on the first read; `coefficient` on a series whose dict is not
+      built makes only the value it returns.
+
+    Series are not modified after construction, so recorded forms stay
+    valid.
     """
 
-    __slots__ = ("num_vars", "trunc_degree", "_coeffs", "factors")
+    __slots__ = ("num_vars", "trunc_degree", "_coeffs", "_ints", "factors")
 
     def __init__(self, num_vars, trunc_degree, coeffs=None):
         if trunc_degree < 0:
@@ -116,6 +138,7 @@ class GradedSeries:
         self.num_vars = num_vars
         self.trunc_degree = trunc_degree
         self.factors = None
+        self._ints = None
         clean = {}
         for exps, val in (coeffs or {}).items():
             exps = tuple(exps)
@@ -131,20 +154,33 @@ class GradedSeries:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _raw(num_vars, trunc_degree, coeffs) -> "GradedSeries":
-        # trusted input: canonical keys, nonzero Cyclotomic values
+    def _raw(num_vars, trunc_degree, coeffs=None, ints=None, factors=None):
+        # trusted input, at least one form given: canonical keys, nonzero
+        # Cyclotomic values in coeffs, nonzero numerator vectors in ints
         s = GradedSeries.__new__(GradedSeries)
         s.num_vars = num_vars
         s.trunc_degree = trunc_degree
         s._coeffs = coeffs
-        s.factors = None
+        s._ints = ints
+        s.factors = factors
         return s
+
+    def _int_form(self):
+        """(n, {exponents: nonzero numerator vector}, den), or None.
+
+        None for a series built from coefficients; an outer product is
+        expanded into it on the first call.
+        """
+        if self._ints is None and self.factors is not None:
+            self._ints = _expand(self.num_vars, self.trunc_degree, self.factors)
+        return self._ints
 
     @property
     def coeffs(self) -> dict:
-        """Exponent tuple -> nonzero coefficient; an outer product expands here."""
+        """Exponent tuple -> nonzero coefficient, built from the integer form."""
         if self._coeffs is None:
-            self._coeffs = _expand(self.num_vars, self.trunc_degree, self.factors)
+            n, acc, den = self._int_form()
+            self._coeffs = {key: _make(n, vec, den) for key, vec in acc.items()}
         return self._coeffs
 
     @staticmethod
@@ -176,7 +212,12 @@ class GradedSeries:
             raise ValueError("incompatible series shapes")
 
     def coefficient(self, exps) -> Cyclotomic:
-        return self.coeffs.get(tuple(exps), Cyclotomic.zero())
+        exps = tuple(exps)
+        if self._coeffs is None:
+            n, acc, den = self._int_form()
+            vec = acc.get(exps)
+            return Cyclotomic.zero() if vec is None else _make(n, vec, den)
+        return self._coeffs.get(exps, Cyclotomic.zero())
 
     @property
     def constant_term(self) -> Cyclotomic:
@@ -249,7 +290,8 @@ class GradedSeries:
                 key = tuple(x + y for x, y in zip(e1, e2))
                 prod, cur = _conv(n, a, b), acc.get(key)
                 acc[key] = prod if cur is None else [s + t for s, t in zip(cur, prod)]
-        return GradedSeries._raw(self.num_vars, d, _rebuild(n, acc, da * db))
+        acc = {key: vec for key, vec in acc.items() if any(vec)}
+        return GradedSeries._raw(self.num_vars, d, ints=(n, acc, da * db))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -268,7 +310,7 @@ class GradedSeries:
         return (
             self.num_vars == other.num_vars
             and self.trunc_degree == other.trunc_degree
-            and self.coeffs == other.coeffs
+            and _same_values(self, other)
         )
 
     def terms(self):
@@ -313,25 +355,31 @@ def series_mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
 
 
 def _shift(s: GradedSeries, exps) -> GradedSeries:
-    """s times the monomial x^exps, truncated."""
+    """s times the monomial x^exps, truncated; an integer form stays one."""
     if not any(exps):
         return s
     budget = s.trunc_degree - sum(exps)
+    form = s._int_form()
     out = {
         tuple(a + b for a, b in zip(exps, e2)): v2
-        for e2, v2 in s.coeffs.items()
+        for e2, v2 in (s.coeffs if form is None else form[1]).items()
         if sum(e2) <= budget
     }
-    return GradedSeries._raw(s.num_vars, s.trunc_degree, out)
+    if form is None:
+        return GradedSeries._raw(s.num_vars, s.trunc_degree, out)
+    return GradedSeries._raw(s.num_vars, s.trunc_degree, ints=(form[0], out, form[2]))
 
 
 @lru_cache(maxsize=256)
-def _univar_inverse(col: tuple) -> tuple:
-    """Inverse coefficient tuple of a one-variable unit given by col.
+def _univar_inverse(key: tuple) -> tuple:
+    """Inverse coefficient tuple of the one-variable unit whose entries are key.
 
-    Cached: a Todd column recurs in every model that carries its
-    eigenvalue, and invert_unit inverts it in each of them.
+    key lists the coefficients of x^0, x^1, ... as `_num_key` triples, so
+    the cache hashes integers, and a column is one entry whatever order
+    its values were built at.  Cached: a Todd column recurs in every model
+    that carries its eigenvalue, and invert_unit inverts it in each.
     """
+    col = [_make(*k) for k in key]
     a0inv = col[0].inverse()
     inv = [a0inv]
     for m in range(1, len(col)):
@@ -347,23 +395,24 @@ def _outer_product(num_vars, trunc_degree, factors) -> GradedSeries:
     """The truncated product of one-variable columns, recorded on the result.
 
     factors lists (j, col) with distinct variables j; col[k], k = 0..D, is
-    the coefficient of x_j^k.  Only the columns are stored: the
-    coefficient dict is expanded by `_expand` when `coeffs` is first read.
+    the coefficient of x_j^k.  Only the columns are stored: `_expand`
+    builds the integer form when a coefficient or a comparison first needs
+    it.
     """
     d = trunc_degree
-    s = GradedSeries._raw(num_vars, d, None)
-    s.factors = tuple((j, tuple(col[: d + 1])) for j, col in factors)
-    return s
+    return GradedSeries._raw(
+        num_vars, d, factors=tuple((j, tuple(col[: d + 1])) for j, col in factors)
+    )
 
 
-def _expand(num_vars, trunc_degree, factors) -> dict:
-    """The coefficient dict of the outer product of factors.
+def _expand(num_vars, trunc_degree, factors) -> tuple:
+    """The integer form (n, acc, den) of the outer product of factors.
 
     The x^a coefficient is prod_j col_j[a_j], formed over the integers in
     one Q(zeta_n), each column over its own common denominator: a
     depth-first walk over the factors keeps each prefix product as one
-    numerator vector, so every monomial extending a prefix shares it, and
-    each coefficient becomes a Cyclotomic once, at the leaf.  In fields of
+    numerator vector, so every monomial extending a prefix shares it.  The
+    leaves are products of nonzero residues, so none is zero.  In fields of
     degree up to _ROWS_MAX_PHI each step multiplies the prefix by the
     integer matrix of a column entry (`exactnum._mul_rows`, cached per
     entry), since one entry meets every prefix of the walk.
@@ -403,7 +452,7 @@ def _expand(num_vars, trunc_degree, factors) -> dict:
         exps[j] = 0
 
     extend(0, trunc_degree, [1] + [0] * (phi - 1))
-    return _rebuild(n, acc, den)
+    return n, acc, den
 
 
 def _axis_factors(s: GradedSeries):
@@ -457,7 +506,7 @@ def invert_unit(s: GradedSeries) -> GradedSeries:
         split = _axis_factors(s)
     if split is not None:
         return _outer_product(
-            s.num_vars, d, [(j, _univar_inverse(col)) for j, col in split]
+            s.num_vars, d, [(j, _univar_inverse(_num_key(col))) for j, col in split]
         )
     cinv = c.inverse()
     origin = (0,) * s.num_vars
@@ -543,12 +592,15 @@ class NormalModel:
 
 
 @lru_cache(maxsize=None)
-def _todd_line(zeta: Cyclotomic, trunc_degree: int):
+def _todd_line(order: int, num: tuple, den: int, trunc_degree: int):
     """Univariate coefficients of x/(1-e^{-x}) (zeta = 1) or 1/(1-zeta^{-1}e^{-x}).
 
-    Cached per eigenvalue: the one-variable inversion is shared by every
-    model that carries a line with this rotation number.
+    zeta is the Cyclotomic num/den of order `order`.  Cached per eigenvalue
+    on those integers, so the key hashes no Cyclotomic: the one-variable
+    inversion is shared by every model that carries a line with this
+    rotation number.
     """
+    zeta = _make(order, num, den)
     one = Cyclotomic.one()
     if zeta == one:
         # inverse of (1 - e^{-x})/x, whose coefficients are (-1)^k/(k+1)!
@@ -561,7 +613,7 @@ def _todd_line(zeta: Cyclotomic, trunc_degree: int):
         base = [one - zinv]
         for k in range(1, trunc_degree + 1):
             base.append(zinv * Fraction(1 if k % 2 else -1, factorial(k)))
-    return _univar_inverse(tuple(base))
+    return _univar_inverse(_num_key(base))
 
 
 def todd_delocalized(model: NormalModel) -> GradedSeries:
@@ -572,7 +624,9 @@ def todd_delocalized(model: NormalModel) -> GradedSeries:
     """
     d = model.trunc_degree
     return _outer_product(
-        model.num_vars, d, [(j, _todd_line(zeta, d)) for zeta, j in model.lines]
+        model.num_vars,
+        d,
+        [(j, _todd_line(zeta.order, zeta.num, zeta.den, d)) for zeta, j in model.lines],
     )
 
 
@@ -643,7 +697,8 @@ def koszul_ch(model: NormalModel) -> GradedSeries:
     of F come from one superset-sum pass (`_support_sums`).  Each
     monomial then scales one vector.  No series multiplication is
     involved.  All terms share the denominator
-    lcm(zeta-product denominators) * D!, so the sums are integer adds.
+    lcm(zeta-product denominators) * D!, so the sums are integer adds, and
+    the series keeps them as its integer form.
     """
     r, d = model.num_vars, model.trunc_degree
     order = _common_order(zeta for zeta, _ in model.lines)
@@ -654,9 +709,10 @@ def koszul_ch(model: NormalModel) -> GradedSeries:
         zfacs += [z * zinv for z in zfacs]
     zvecs, zden = _over_common_den(zfacs, order)
     f = _support_sums(zvecs)
+    live = [any(v) for v in f]
     table = _koszul_table(tuple(j for _, j in model.lines), r, d)
-    acc = {exps: [w * x for x in f[mask]] for exps, mask, w in table}
-    return GradedSeries._raw(r, d, _rebuild(order, acc, zden * factorial(d)))
+    acc = {exps: [w * x for x in f[mask]] for exps, mask, w in table if live[mask]}
+    return GradedSeries._raw(r, d, ints=(order, acc, zden * factorial(d)))
 
 
 class ZeroSectionReport:
@@ -679,9 +735,42 @@ class ZeroSectionReport:
         return "ZeroSectionReport(failed at %r)" % (self.first_mismatch,)
 
 
+def _int_agree(a: GradedSeries, b: GradedSeries):
+    """Whether a and b are equal, decided on their integer forms.
+
+    None when either series has no integer form.  Residues mod Phi_m are
+    canonical, so x/da equals y/db exactly when x*db == y*da once both
+    numerators are lifted into Q(zeta_m), m = lcm(n_a, n_b); the forms
+    hold only nonzero vectors, so the key sets must agree first.
+    """
+    fa, fb = a._int_form(), b._int_form()
+    if fa is None or fb is None:
+        return None
+    (na, va, da), (nb, vb, db) = fa, fb
+    if va.keys() != vb.keys():
+        return False
+    m = lcm(na, nb)
+    xs, ys = va.values(), [vb[key] for key in va]
+    if na != m:
+        xs = [_lift_num(na, m, x) for x in xs]
+    if nb != m:
+        ys = [_lift_num(nb, m, y) for y in ys]
+    return [p * db for x in xs for p in x] == [q * da for y in ys for q in y]
+
+
+def _same_values(a: GradedSeries, b: GradedSeries) -> bool:
+    agree = _int_agree(a, b)
+    return a.coeffs == b.coeffs if agree is None else agree
+
+
 def first_difference(a: GradedSeries, b: GradedSeries):
-    """Graded-lex smallest exponent tuple where two series differ, or None."""
-    if a.coeffs == b.coeffs:
+    """Graded-lex smallest exponent tuple where two series differ, or None.
+
+    Two integer forms are compared on the integers (`_int_agree`); the
+    Cyclotomic coefficients are built and walked only when they differ, or
+    when a side has no integer form.
+    """
+    if _same_values(a, b):
         return None
     keys = set(a.coeffs) | set(b.coeffs)
     for exps in sorted(keys, key=_grlex_key):
@@ -704,6 +793,8 @@ def zero_section_identity(model: NormalModel) -> ZeroSectionReport:
             % (model.trunc_degree, sum(euler_exps))
         )
     rhs = _shift(invert_unit(todd_delocalized(model)), euler_exps)
+    # expand the inverse here, so that a trace puts it outside first_difference
+    rhs._int_form()
     diff = first_difference(lhs, rhs)
     return ZeroSectionReport(diff is None, lhs, rhs, diff)
 

@@ -6,7 +6,14 @@ import pytest
 
 from orbichern.exactnum import Cyclotomic
 from orbichern.linalg import Matrix
-from orbichern.groups import FiniteGroup, GroupEmbedding, subgroup_embedding
+from orbichern import rrg
+from orbichern.groups import (
+    FiniteGroup,
+    FusionData,
+    GroupEmbedding,
+    subgroup_embedding,
+    subgroups,
+)
 from orbichern.reps import (
     Representation,
     VirtualCharacter,
@@ -27,7 +34,7 @@ from orbichern.rrg import (
     pushforward_characters,
 )
 
-from randgen import corpus_groups, random_complex
+from randgen import corpus_groups, random_complex, random_rep
 from test_reps import perm_of_name, standard_rep
 
 E = Cyclotomic.root_of_unity
@@ -143,6 +150,74 @@ def test_iso_spatial_random_pairs():
                 random_complex(rng, sub, max_dim=3),
             )
             assert check_iso_spatial(sc).passed
+
+
+_REAL_PUSHFORWARD = rrg.pushforward_characters
+_REAL_FUSION = GroupEmbedding.fusion
+
+
+def _centralizer_weight_dropped(emb, chi, weight="centralizer"):
+    """Mutant: the weighted fusion sum with every weight set to one."""
+    return _REAL_PUSHFORWARD(emb, chi, weight="one")
+
+
+def _fusion_shifted(emb):
+    """Mutant: every source class fused into the next target class."""
+    real = _REAL_FUSION(emb)
+    k = len(real.fibers)
+    to_target = tuple((t + 1) % k for t in real.to_target)
+    fibers = [[] for _ in range(k)]
+    for i, t in enumerate(to_target):
+        fibers[t].append(i)
+    return FusionData(emb, to_target, tuple(tuple(f) for f in fibers))
+
+
+def _induction_corpus():
+    """Acceptance 1 and 2's 60 subgroup pairs, one character and one complex each."""
+    rng = random.Random(0x1DC7)
+    out = []
+    for group in corpus_groups().values():
+        for elems in subgroups(group):
+            sub, emb = subgroup_embedding(group, list(elems))
+            extra = random_rep(rng, sub, max_dim=2)
+            chi = character(direct_sum(Representation.trivial(sub), extra))
+            chart = random_rep(rng, group, max_dim=4)
+            cx = random_complex(rng, sub, max_dim=3, summands=2)
+            out.append((emb, chi, IsoSpatialScenario(emb, chart, cx)))
+    return out
+
+
+def _induction_caught(corpus):
+    """Pairs on which the definitional or the iso-spatial check fails."""
+    caught = []
+    for i, (emb, chi, sc) in enumerate(corpus):
+        weighted = rrg.pushforward_characters(emb, chi)
+        if weighted.values != induced_character_sum(emb, chi).values:
+            caught.append(i)
+        elif not check_iso_spatial(sc).passed:
+            caught.append(i)
+    return caught
+
+
+@pytest.mark.parametrize(
+    "target, name, mutant, exposed",
+    [
+        # weights are |Z_target(t)| / |Z_source(c)|: all one only when H = G
+        (rrg, "pushforward_characters", _centralizer_weight_dropped,
+         lambda emb: emb.index > 1),
+        (GroupEmbedding, "fusion", _fusion_shifted, lambda emb: True),
+    ],
+    ids=["centralizer_weight_dropped", "fusion_shifted"],
+)
+def test_code_mutant_fails_induction_corpus(monkeypatch, target, name, mutant, exposed):
+    corpus = _induction_corpus()
+    assert len(corpus) == 60
+    assert _induction_caught(corpus) == []
+    monkeypatch.setattr(target, name, mutant)
+    caught = _induction_caught(corpus)
+    want = [i for i, (emb, _, _) in enumerate(corpus) if exposed(emb)]
+    print("mutant %s caught on %d of %d pairs" % (name, len(caught), len(corpus)))
+    assert caught == want
 
 
 # -- zero section -----------------------------------------------------------

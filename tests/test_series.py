@@ -5,8 +5,8 @@ from math import factorial
 
 import pytest
 
-from orbichern import series
-from orbichern.exactnum import Cyclotomic, euler_phi
+from orbichern import exactnum, series
+from orbichern.exactnum import Cyclotomic, _lift_num, _make, euler_phi
 from orbichern.groups import FiniteGroup
 from orbichern.reps import Representation, direct_sum, lambda_minus_one
 from orbichern.series import (
@@ -22,6 +22,7 @@ from orbichern.series import (
 )
 from orbichern.series import (
     _axis_factors,
+    _num_key,
     _outer_product,
     _todd_line,
     _univar_inverse,
@@ -176,9 +177,9 @@ def test_todd_outer_product_matches_product_chain():
         chain = GradedSeries.one(r, d)
         inv_chain = GradedSeries.one(r, d)
         for zeta, j in model.lines:
-            col = _todd_line(zeta, d)
+            col = _todd_line(zeta.order, zeta.num, zeta.den, d)
             chain = chain * _axis(r, d, j, col)
-            inv_chain = inv_chain * _axis(r, d, j, _univar_inverse(col))
+            inv_chain = inv_chain * _axis(r, d, j, _univar_inverse(_num_key(col)))
         todd = todd_delocalized(model)
         inv = invert_unit(todd)
         # inverting reads only the recorded columns; coeffs expands on first read
@@ -279,9 +280,10 @@ def _drop_koszul_sign(zvecs):
     return _REAL_SUPPORT_SUMS(flipped)
 
 
-def _todd_line_zeta_for_inverse(zeta, trunc_degree):
+def _todd_line_zeta_for_inverse(order, num, den, trunc_degree):
     """Mutant: _todd_line built with zeta where it takes zeta^{-1}."""
-    return _REAL_TODD_LINE(zeta.inverse(), trunc_degree)
+    zinv = _make(order, num, den).inverse()
+    return _REAL_TODD_LINE(zinv.order, zinv.num, zinv.den, trunc_degree)
 
 
 def _has_nonreal_line(model):
@@ -369,6 +371,170 @@ def test_zero_section_identity_all_twelfth_roots():
         for k in range(12):
             model = NormalModel([(E(12, j), 0), (E(12, k), 1)], 5)
             assert zero_section_identity(model).passed, (j, k)
+
+
+def _walk(a, b):
+    """first_difference on Cyclotomic dicts alone, as before integer forms."""
+    if a.coeffs == b.coeffs:
+        return None
+    for exps in sorted(set(a.coeffs) | set(b.coeffs), key=lambda e: (sum(e), e)):
+        if a.coefficient(exps) != b.coefficient(exps):
+            return exps
+    return None
+
+
+def _with_ints(like, n, acc, den):
+    return GradedSeries._raw(like.num_vars, like.trunc_degree, ints=(n, acc, den))
+
+
+def _comparison_pairs(seed):
+    """(tag, a, b): integer-form pairs, equal and not, with coeffs built.
+
+    Tags: "sides" is the two sides of an identity; "scaled" the same values
+    over a multiple of the denominator; "lifted" the same values in a larger
+    field, of larger degree; "den" the same numerators over twice the
+    denominator; "bumped" one numerator entry moved by one; "dropped" one
+    monomial removed.
+    """
+    rng = random.Random(seed)
+    models = [m for m in _mu12_models(seed, 10) if _euler_fits(m)] + [
+        # all zeta = 1: a Koszul side of order 12 against a rational Todd side
+        NormalModel([(E(12, 0), 0), (E(12, 0), 1)], 4),
+        NormalModel([(E(7, 1), 0), (E(11, 3), 1)], 3),
+        NormalModel([(E(5, 2), 0), (1, 1), (E(8, 5), 2)], 4),
+        NormalModel([(-1, 0), (E(9, 2), 1)], 5),
+    ]
+    pairs = []
+    for model in models:
+        report = zero_section_identity(model)
+        lhs, rhs = report.lhs, report.rhs
+        pairs.append(("sides", lhs, rhs))
+        for side in (lhs, rhs):
+            n, acc, den = side._int_form()
+            k, m = rng.randint(2, 9), n * rng.choice([3, 5, 7])
+            scaled = {e: [k * x for x in v] for e, v in acc.items()}
+            lifted = {e: _lift_num(n, m, v) for e, v in acc.items()}
+            pairs.append(("scaled", side, _with_ints(side, n, scaled, k * den)))
+            pairs.append(("lifted", side, _with_ints(side, m, lifted, den)))
+            pairs.append(("den", side, _with_ints(side, n, acc, 2 * den)))
+            for other in (lhs, rhs):
+                key = rng.choice(sorted(acc))
+                vec = list(acc[key])
+                vec[rng.randrange(len(vec))] += rng.choice((-1, 1))
+                bumped = dict(acc)
+                del bumped[key]
+                if any(vec):
+                    bumped[key] = vec
+                pairs.append(("bumped", other, _with_ints(side, n, bumped, den)))
+            dropped = dict(acc)
+            del dropped[rng.choice(sorted(acc))]
+            pairs.append(("dropped", side, _with_ints(side, n, dropped, den)))
+    # built before any mutant is patched in, so the dicts stay the reference
+    for _, a, b in pairs:
+        a.coeffs, b.coeffs
+    return pairs
+
+
+def _euler_fits(model):
+    return sum(1 for zeta, _ in model.lines if zeta == 1) <= model.trunc_degree
+
+
+def _verdict_errors(pairs):
+    """Indices of pairs whose integer verdict or witness is not the dict walk's."""
+    return [
+        i
+        for i, (_, a, b) in enumerate(pairs)
+        if series._int_agree(a, b) != (a.coeffs == b.coeffs)
+        or first_difference(a, b) != _walk(a, b)
+    ]
+
+
+def test_integer_verdict_matches_cyclotomic_comparison():
+    pairs = _comparison_pairs(0xC0DE)
+    assert not _verdict_errors(pairs)
+    equal = [series._int_agree(a, b) for _, a, b in pairs]
+    assert equal.count(True) >= 60 and equal.count(False) >= 60
+    orders = {
+        (a._int_form()[0], b._int_form()[0]) for tag, a, b in pairs if tag == "sides"
+    }
+    assert (12, 1) in orders and (77, 77) in orders
+    # a series without an integer form is compared on its coefficients
+    for _, a, b in pairs[:20]:
+        plain = s(b.num_vars, b.trunc_degree, b.coeffs)
+        assert series._int_agree(a, plain) is None
+        assert first_difference(a, plain) == _walk(a, b)
+        assert (a == plain) == (a == b)
+
+
+_REAL_INT_AGREE = series._int_agree
+
+
+def _dens_dropped(a, b):
+    """Mutant: numerators compared without the other side's denominator."""
+    (na, va, _), (nb, vb, _) = a._int_form(), b._int_form()
+    return _REAL_INT_AGREE(_with_ints(a, na, va, 1), _with_ints(b, nb, vb, 1))
+
+
+def _lift_skipped(n, m, num):
+    """Mutant: a numerator of Q(zeta_n) used as it is in Q(zeta_m)."""
+    return num
+
+
+def _mixed_degree(a, b):
+    return euler_phi(a._int_form()[0]) != euler_phi(b._int_form()[0])
+
+
+@pytest.mark.parametrize(
+    "name, mutant, exposed",
+    [
+        ("_int_agree", _dens_dropped, lambda tag, a, b: tag in ("scaled", "den")),
+        (
+            "_lift_num",
+            _lift_skipped,
+            lambda tag, a, b: tag == "lifted"
+            or (tag == "sides" and _mixed_degree(a, b)),
+        ),
+    ],
+    ids=["denominator_dropped", "lift_skipped"],
+)
+def test_code_mutant_fails_integer_verdict(monkeypatch, name, mutant, exposed):
+    pairs = _comparison_pairs(0xC0DE)
+    monkeypatch.setattr(series, name, mutant)
+    errors = set(_verdict_errors(pairs))
+    want = {i for i, pair in enumerate(pairs) if exposed(*pair)}
+    assert len(want) >= 15
+    assert want <= errors, "mutant of %s survived %d pairs" % (name, len(want - errors))
+
+
+def test_zero_section_identity_builds_no_coefficient(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _make(*args)
+
+    lines = [(E(12, 1), 0), (1, 1), (E(12, 0), 2), (E(4, 3), 3)]
+    counts = {}
+    for d in (2, 6):
+        model = NormalModel(lines, d)
+        zero_section_identity(model)  # warms every cache
+        monkeypatch.setattr(exactnum, "_make", counting)
+        monkeypatch.setattr(series, "_make", counting)
+        del calls[:]
+        report = zero_section_identity(model)
+        counts[d] = len(calls)
+        del calls[:]
+        assert report.passed
+        # one value read is one _make; the dicts are still not built
+        euler = (0, 1, 1, 0)
+        lhs, rhs = report.lhs.coefficient(euler), report.rhs.coefficient(euler)
+        assert len(calls) == 2
+        assert lhs == rhs != 0
+        assert report.lhs._coeffs is None and report.rhs._coeffs is None
+        monkeypatch.undo()
+        assert report.lhs.coeffs[euler] == lhs
+        assert report.lhs.coeffs == report.rhs.coeffs
+    assert counts[2] == counts[6] > 0
 
 
 def test_first_difference_graded_lex():
