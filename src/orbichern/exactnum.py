@@ -14,8 +14,12 @@ to lowest terms), which `series` uses as well.
 Fraction coordinates are built only on request (`coeffs`).
 Binary operations on operands of different orders lift both to the least
 common order via zeta_m -> zeta_M^(M/m); results keep that common order
-and are never descended automatically.  Integers are unbounded
-throughout; floats are rejected.
+and are never descended automatically.  The scalar fast paths keep that
+rule: a sum with a zero returns the other operand only when the zero's
+order divides the other's, a rational is added into `num[0]` of the
+other operand without a lift, and an int or Fraction factor scales the
+numerators directly.  Integers are unbounded throughout; floats are
+rejected.
 """
 
 from __future__ import annotations
@@ -317,19 +321,30 @@ class Cyclotomic:
         return self.lift(m), other.lift(m)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.order != other.order:
-            self, other = self._common(other)
+        if type(other) is not Cyclotomic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        n, m = self.order, other.order
+        a, b = self.num, other.num
         da, db = self.den, other.den
+        # a zero returns the other operand when that keeps the common order
+        if not any(b) and n % m == 0:
+            return self
+        if not any(a) and m % n == 0:
+            return other
+        if n != m:
+            if m == 1:
+                return _add_rational(n, a, da, b[0], db)
+            if n == 1:
+                return _add_rational(m, b, db, a[0], da)
+            self, other = self._common(other)
+            n, a, b = self.order, self.num, other.num
         if da == db:
-            return _make(self.order, [a + b for a, b in zip(self.num, other.num)], da)
+            return _make(n, [x + y for x, y in zip(a, b)], da)
         g = math.gcd(da, db)
         ma, mb = db // g, da // g
-        return _make(
-            self.order, [a * ma + b * mb for a, b in zip(self.num, other.num)], da * ma
-        )
+        return _make(n, [x * ma + y * mb for x, y in zip(a, b)], da * ma)
 
     __radd__ = __add__
 
@@ -349,6 +364,14 @@ class Cyclotomic:
         return other + (-self)
 
     def __mul__(self, other):
+        t = type(other)
+        if t is int or t is Fraction:
+            # an exact rational factor scales the numerators, no coerced temporary
+            p = other.numerator
+            if not p:
+                return _ZERO
+            den = other.denominator * self.den
+            return _make(self.order, [p * c for c in self.num], den)
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -462,20 +485,23 @@ class Cyclotomic:
 
     def __str__(self):
         d = self.descend()
-        n, cs = d.order, d.coeffs
+        n, den = d.order, d.den
         parts = []
-        for k, c in enumerate(cs):
-            if not c:
+        for k, x in enumerate(d.num):
+            if not x:
                 continue
+            g = math.gcd(x, den)
+            p, q = x // g, den // g
+            c = str(p) if q == 1 else "%d/%d" % (p, q)
             if k == 0:
-                body = str(c)
+                body = c
             else:
                 base = "E(%d)" % n
                 if k > 1:
                     base = "%s^%d" % (base, k)
-                if c == 1:
+                if c == "1":
                     body = base
-                elif c == -1:
+                elif c == "-1":
                     body = "-" + base
                 else:
                     body = "%s*%s" % (c, base)
@@ -494,6 +520,19 @@ class Cyclotomic:
 
 
 _new = object.__new__
+
+
+def _add_rational(n, num, den, p, q) -> Cyclotomic:
+    """num/den in Q(zeta_n) plus the rational p/q: p goes into num[0]."""
+    if den == q:
+        out = list(num)
+        out[0] += p
+        return _make(n, out, den)
+    g = math.gcd(den, q)
+    ma, mb = q // g, den // g
+    out = [x * ma for x in num]
+    out[0] += p * mb
+    return _make(n, out, den * ma)
 
 
 @lru_cache(maxsize=1024)

@@ -289,19 +289,26 @@ def induced_character_sum(emb, chi) -> VirtualCharacter:
     """Induced character by the definitional average over the big group.
 
     chi_Ind(h) = (1/|G|) * sum over x in H with x^-1 h x in G of chi(x^-1 h x).
+    The walk still visits every x in H; equal terms are grouped by the
+    class of G that x^-1 h x lands in, so the exact sum has one term per
+    class of G, count times value, instead of one per element of H.
     """
     g, t = emb.source, emb.target
     image = emb.preimage
+    table, inverses = t.table, t.inverses
+    class_of = g.conjugacy().class_of
     inv_order = Fraction(1, g.size)
-    cd = t.conjugacy()
     values = []
-    for h in cd.reps:
-        acc = Cyclotomic.from_rational(0)
-        for x in t.elements():
-            y = t.mul(t.mul(t.inv(x), h), x)
-            s = image.get(y)
+    for h in t.conjugacy().reps:
+        counts = [0] * len(chi.values)
+        for x in range(t.size):
+            s = image.get(table[table[inverses[x]][h]][x])
             if s is not None:
-                acc = acc + chi.at(s)
+                counts[class_of[s]] += 1
+        acc = Cyclotomic.zero()
+        for value, k in zip(chi.values, counts):
+            if k:
+                acc = acc + value * k
         values.append(acc * inv_order)
     return VirtualCharacter(t, values)
 

@@ -101,6 +101,22 @@ def _over_common_den(values, n):
     return vecs, den
 
 
+def _form_order(terms, form):
+    """The field order of a product operand: its integer form's, or the
+    common order of its coefficients."""
+    return _common_order(terms.values()) if form is None else form[0]
+
+
+def _operand_vecs(terms, form, n):
+    """Numerator vectors of a product operand inside Q(zeta_n), in the
+    order of terms, over one denominator.  An integer form is only lifted;
+    coefficients are scaled to their common denominator first."""
+    if form is None:
+        return _over_common_den(terms.values(), n)
+    m, acc, den = form
+    return [_lift_num(m, n, vec) for vec in acc.values()], den
+
+
 def _num_key(values) -> tuple:
     """Values as (order, num, den) triples: a cache key that hashes integers."""
     return tuple((v.order, v.num, v.den) for v in values)
@@ -265,20 +281,25 @@ class GradedSeries:
             return self.scale(other)
         self._shape_check(other)
         d = self.trunc_degree
-        if not self.coeffs or not other.coeffs:
+        fa, fb = self._int_form(), other._int_form()
+        ta = self.coeffs if fa is None else fa[1]
+        tb = other.coeffs if fb is None else fb[1]
+        if not ta or not tb:
             return GradedSeries.zero(self.num_vars, d)
-        for mono, series in ((self, other), (other, self)):
-            if len(mono.coeffs) == 1:
-                ((e1, v1),) = mono.coeffs.items()
-                if v1 == _CYC_ONE:
+        for terms, form, series in ((ta, fa, other), (tb, fb, self)):
+            if len(terms) == 1:
+                ((e1, v1),) = terms.items()
+                if form is None:
+                    one = v1 == _CYC_ONE
+                else:  # in an integer form, 1 is the vector (den, 0, ..., 0)
+                    one = v1[0] == form[2] and not any(v1[1:])
+                if one:
                     return _shift(series, e1)
-        n = _common_order(self.coeffs.values(), other.coeffs.values())
-        va, da = _over_common_den(self.coeffs.values(), n)
-        vb, db = _over_common_den(other.coeffs.values(), n)
-        lhs = [(sum(e), e, v) for e, v in zip(self.coeffs, va)]
-        rhs = sorted(
-            ((sum(e), e, v) for e, v in zip(other.coeffs, vb)), key=lambda t: t[0]
-        )
+        n = lcm(_form_order(ta, fa), _form_order(tb, fb))
+        va, da = _operand_vecs(ta, fa, n)
+        vb, db = _operand_vecs(tb, fb, n)
+        lhs = [(sum(e), e, v) for e, v in zip(ta, va)]
+        rhs = sorted(((sum(e), e, v) for e, v in zip(tb, vb)), key=lambda t: t[0])
         acc = {}
         for d1, e1, a in lhs:
             budget = d - d1

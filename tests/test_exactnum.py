@@ -6,6 +6,7 @@ from operator import mul
 
 import pytest
 
+from orbichern import exactnum
 from orbichern.exactnum import (
     Cyclotomic,
     Rational,
@@ -246,3 +247,115 @@ def test_integer_kernel_matches_oracle():
                 a / b
         q = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         assert _same(a + q, oa + q) and _same(q * a, q * oa) and _same(q - a, q - oa)
+
+
+# -- scalar fast paths and the printer against the oracle --------------------
+
+
+def _parts(old):
+    """(order, numerators, denominator) of an oracle value."""
+    den = math.lcm(1, *(c.denominator for c in old.coeffs))
+    return old.order, tuple(int(c * den) for c in old.coeffs), den
+
+
+def _same_parts(new, old):
+    return (new.order, new.num, new.den) == _parts(old)
+
+
+def _pair(order, coeffs):
+    return Cyclotomic(order, coeffs), oracle.Cyclotomic(order, coeffs)
+
+
+def test_zero_fast_path_keeps_common_order():
+    z12, oz12 = _pair(12, [])
+    z1, oz1 = _pair(1, [])
+    i4, oi4 = _pair(4, [Fraction(2, 3), Fraction(-5, 7)])
+    zero4, ozero4 = _pair(4, [])
+    # a zero of order 12 does not divide order 4: the sum lives at order 12
+    for new, old in ((z12 + i4, oz12 + oi4), (i4 + z12, oi4 + oz12)):
+        assert new.order == 12 and _same_parts(new, old)
+    # a zero of order 1 divides every order: the other operand comes back
+    for order in ORACLE_ORDERS:
+        v, ov = _pair(order, [Fraction(k - 2, k + 1) for k in range(order + 1)])
+        assert z1 + v is v and v + z1 is v
+        assert _same_parts(z1 + v, oz1 + ov) and _same_parts(v + z1, ov + oz1)
+    assert _same_parts(zero4 + z12, ozero4 + oz12) and (zero4 + z12).order == 12
+    assert _same_parts(z12 + zero4, oz12 + ozero4)
+    assert _same_parts(i4 - i4, oi4 - oi4)
+
+
+def test_rational_plus_irrational_fast_path():
+    values = [
+        _pair(12, [Fraction(1, 6), 0, Fraction(-3, 4), 2]),
+        _pair(5, [Fraction(2, 7), 1, 0, Fraction(-1, 7)]),
+        _pair(8, [0, Fraction(5, 9)]),
+    ]
+    rationals = [Fraction(1, 3), Fraction(-5, 4), Fraction(3, 7), Fraction(-2, 9), Fraction(7)]
+    for v, ov in values:
+        for q in rationals:  # coprime and shared denominators
+            r, orr = _pair(1, [q])
+            assert _same_parts(r + v, orr + ov) and _same_parts(v + r, ov + orr)
+            assert _same_parts(v - r, ov - orr) and _same_parts(r - v, orr - ov)
+            assert _same_parts(v + q, ov + q) and _same_parts(q + v, q + ov)
+
+
+def test_integer_and_fraction_operands_match_oracle():
+    v, ov = _pair(12, [Fraction(1, 6), 0, Fraction(-3, 4), 2])
+    r, orr = _pair(1, [Fraction(-2, 3)])
+    for q in (0, 1, -1, 3, -7, Fraction(0), Fraction(2, 3), Fraction(-9, 4), Fraction(6, 1)):
+        for x, ox in ((v, ov), (r, orr)):
+            assert _same_parts(x * q, ox * q) and _same_parts(q * x, q * ox)
+            assert _same_parts(x + q, ox + q) and _same_parts(q + x, q + ox)
+            assert _same_parts(x - q, ox - q) and _same_parts(q - x, q - ox)
+
+
+def test_scalar_factor_makes_one_value_and_bools_coerce(monkeypatch):
+    v, ov = _pair(12, [Fraction(1, 6), 0, Fraction(-3, 4), 2])
+    made, coerced = [], []
+
+    def counting_make(*args):
+        made.append(args)
+        return _make(*args)
+
+    def counting_coerce(x, _real=exactnum._coerce):
+        coerced.append(x)
+        return _real(x)
+
+    monkeypatch.setattr(exactnum, "_make", counting_make)
+    monkeypatch.setattr(exactnum, "_coerce", counting_coerce)
+    for q in (3, -2, Fraction(-5, 6)):
+        del made[:]
+        v * q
+        q * v
+        assert len(made) == 2 and not coerced
+    for b in (True, False):
+        del coerced[:]
+        assert _same_parts(v * b, ov * b) and _same_parts(b * v, b * ov)
+        assert _same_parts(v + b, ov + b) and _same_parts(b + v, b + ov)
+        assert len(coerced) == 4
+
+
+def test_printer_byte_identical_to_oracle():
+    table = [
+        (1, [], "0"),
+        (1, [Fraction(-3, 4)], "-3/4"),
+        (4, [Fraction(-3, 4)], "-3/4"),
+        (3, [-2, 1], "-2 + E(3)"),
+        (5, [0, -1, 0, 1], "-E(5) + E(5)^3"),
+        (5, [0, 1, -1], "E(5) - E(5)^2"),
+        (7, [-1, 0, Fraction(1, 2), Fraction(-5, 3)], "-1 + 1/2*E(7)^2 - 5/3*E(7)^3"),
+        (8, [Fraction(3, 4), 2, 0, Fraction(-1, 6)], "3/4 + 2*E(8) - 1/6*E(8)^3"),
+        (9, [0, Fraction(-7, 2), 0, 0, 0, 1], "-7/2*E(9) + E(9)^5"),
+        (6, [1, 1], "2 + E(3)"),  # descends to order 3
+        (12, [0, 0, 0, 1], "E(4)"),  # descends to order 4
+        (12, [0, 0, Fraction(-2, 5)], "-2/5 - 2/5*E(3)"),
+        (10, [0, 0, 0, 0, 0, 0, -1], "-E(5)^3"),
+    ]
+    for order, coeffs, text in table:
+        new, old = _pair(order, coeffs)
+        assert str(new) == str(old) == text, (order, coeffs)
+        assert repr(new) == repr(old)
+    rng = random.Random(11)
+    for _ in range(300):
+        new, old = _oracle_pair(rng)
+        assert str(new) == str(old)

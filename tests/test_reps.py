@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from orbichern.exactnum import Cyclotomic
-from orbichern.groups import FiniteGroup, subgroup_embedding
+from orbichern.exactnum import Cyclotomic, euler_phi
+from orbichern.groups import FiniteGroup, subgroup_embedding, subgroups
 from orbichern.linalg import Matrix
 from orbichern.reps import (
     Representation,
@@ -22,6 +22,9 @@ from orbichern.reps import (
     restricted_character,
     tensor,
 )
+
+import cyclotomic_oracle as oracle
+from randgen import corpus_groups
 
 E = Cyclotomic.root_of_unity
 
@@ -218,6 +221,58 @@ def test_frobenius_reciprocity_random(s3):
             lhs = inner_product(induced_character_sum(emb, chi), psi)
             rhs = inner_product(chi, restricted_character(emb, psi))
             assert lhs == rhs
+
+
+def _induced_per_element(emb, chi):
+    """The definitional average with one exact term per element of the big
+    group, in the Fraction arithmetic of `cyclotomic_oracle`: a test oracle
+    for `induced_character_sum`, which groups equal terms by class."""
+    g, t = emb.source, emb.target
+    old = [oracle.Cyclotomic(v.order, v.coeffs) for v in chi.values]
+    class_of = g.conjugacy().class_of
+    out = []
+    for h in t.conjugacy().reps:
+        acc = oracle.Cyclotomic.zero()
+        for x in t.elements():
+            s = emb.preimage.get(t.mul(t.mul(t.inv(x), h), x))
+            if s is not None:
+                acc = acc + old[class_of[s]]
+        out.append(acc * Fraction(1, g.size))
+    return out
+
+
+def _seeded_class_function(rng, group):
+    """Values of mixed orders, some zero at order 12, the first irrational."""
+    values = []
+    for c in range(group.conjugacy().num_classes()):
+        if c and rng.random() < 0.2:
+            values.append(Cyclotomic(12, []))
+            continue
+        order = rng.choice((3, 4, 8, 12) if not c else (1, 3, 4, 8, 12))
+        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(euler_phi(order))]
+        if not c:
+            coeffs[1] = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+        values.append(Cyclotomic(order, coeffs))
+    return VirtualCharacter(group, values)
+
+
+def test_class_grouped_average_matches_per_element_sum():
+    rng = random.Random(0x1DC8)
+    pairs = 0
+    for group in corpus_groups().values():
+        for elems in subgroups(group):
+            sub, emb = subgroup_embedding(group, list(elems))
+            pairs += 1
+            for _ in range(2):
+                chi = _seeded_class_function(rng, sub)
+                assert not chi.values[0].is_rational()
+                new = induced_character_sum(emb, chi).values
+                old = _induced_per_element(emb, chi)
+                # the same values in the same fields, in lowest terms
+                assert [(v.order, v.coeffs) for v in new] == [
+                    (v.order, v.coeffs) for v in old
+                ]
+    assert pairs == 60
 
 
 def test_restrict_matrices(s3, std):

@@ -6,7 +6,7 @@ import pytest
 
 from orbichern.exactnum import Cyclotomic
 from orbichern.linalg import Matrix
-from orbichern import rrg
+from orbichern import exactnum, rrg
 from orbichern.groups import (
     FiniteGroup,
     FusionData,
@@ -34,7 +34,7 @@ from orbichern.rrg import (
     pushforward_characters,
 )
 
-from randgen import corpus_groups, random_complex, random_rep
+from randgen import corpus_groups, cyclic_subgroup, random_complex, random_rep
 from test_reps import perm_of_name, standard_rep
 
 E = Cyclotomic.root_of_unity
@@ -218,6 +218,44 @@ def test_code_mutant_fails_induction_corpus(monkeypatch, target, name, mutant, e
     want = [i for i, (emb, _, _) in enumerate(corpus) if exposed(emb)]
     print("mutant %s caught on %d of %d pairs" % (name, len(caught), len(corpus)))
     assert caught == want
+
+
+def test_induction_operation_counts(monkeypatch):
+    """Kernel calls of one iso-spatial check and one definitional average on
+    a fixed S4 pair, pinned near their counts: the definitional average
+    sums one term per class, and a rational or zero operand is not lifted.
+    """
+    s4 = corpus_groups()["S4"]
+    x = min(g for g in s4.elements() if s4.order_of(g) == 4)
+    sub, emb = subgroup_embedding(s4, cyclic_subgroup(s4, x))
+    gen, values, y = emb.preimage[x], [None] * 4, sub.identity
+    for k in range(4):
+        values[y] = E(4, k)
+        y = sub.mul(y, gen)
+    chi = character(
+        direct_sum(Representation.trivial(sub), Representation.one_dimensional(sub, values))
+    )
+    rng = random.Random(1)
+    sc = IsoSpatialScenario(
+        emb, random_rep(rng, s4, max_dim=4), random_complex(rng, sub, max_dim=3, summands=2)
+    )
+    report, induced = check_iso_spatial(sc), induced_character_sum(emb, chi)  # warm
+    assert report.passed and [e.lhs for e in report.entries] == ["12", "0", "0", "8", "2"]
+    counts = {"_make": 0, "_lift_num": 0}
+    for name in counts:
+        def counting(*args, _real=getattr(exactnum, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(exactnum, name, counting)
+    again = check_iso_spatial(sc)
+    assert [(e.status, e.lhs, e.rhs) for e in again.entries] == [
+        (e.status, e.lhs, e.rhs) for e in report.entries
+    ]
+    assert counts["_make"] <= 120 and counts["_lift_num"] <= 24, counts
+    counts.update(_make=0, _lift_num=0)
+    assert induced_character_sum(emb, chi) == induced
+    assert counts["_make"] <= 16 and counts["_lift_num"] == 0, counts
 
 
 # -- zero section -----------------------------------------------------------

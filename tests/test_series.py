@@ -537,6 +537,35 @@ def test_zero_section_identity_builds_no_coefficient(monkeypatch):
     assert counts[2] == counts[6] > 0
 
 
+def test_product_of_integer_forms_builds_no_operand_coefficient(monkeypatch):
+    model = NormalModel([(E(12, 1), 0), (E(12, 5), 1), (E(12, 7), 2)], 6)
+    todd = todd_delocalized(model)
+    inv = invert_unit(todd_delocalized(model))
+    todd._int_form(), inv._int_form()  # the expansions are not the product's work
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _make(*args)
+
+    monkeypatch.setattr(exactnum, "_make", counting)
+    monkeypatch.setattr(series, "_make", counting)
+    product = todd * inv
+    made = len(calls)
+    monkeypatch.undo()
+    # 84 + 84 operand monomials stay integers; the result has one monomial
+    assert len(product.coeffs) == 1 and made <= len(product.coeffs)
+
+    def plain(t):
+        return GradedSeries(t.num_vars, t.trunc_degree, t.coeffs)
+
+    assert product.coeffs == (plain(todd) * plain(inv)).coeffs == {(0, 0, 0): 1}
+    # an integer form times a coefficient-built series of another order
+    other = s(3, 6, {(0, 0, 0): 3, (1, 0, 0): E(8), (0, 2, 1): F(-2, 3)})
+    for a, b in ((todd, other), (other, inv), (inv, todd)):
+        assert (a * b).coeffs == (plain(a) * plain(b)).coeffs
+
+
 def test_first_difference_graded_lex():
     a = s(2, 3, {(0, 0): 1, (1, 1): 2, (0, 2): 5})
     b = s(2, 3, {(0, 0): 1, (1, 1): 3, (3, 0): 7})
