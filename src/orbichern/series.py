@@ -21,12 +21,14 @@ The Todd side is an outer product of one-variable columns; in small
 fields it is expanded through each column entry's integer multiplication
 matrix.
 
-Both sides end in one integer form, (n, {exponents: numerator vector},
-den): every coefficient a nonzero residue of Z[zeta_n] over one common
-denominator.  The zero-section verdict is decided on that form, by
+Every series is held in one integer form, (n, {exponents: numerator
+vector}, den): every coefficient a nonzero residue of Z[zeta_n] over one
+common denominator.  A series given by its coefficients is converted to
+it once, when it is built.  Sums, products and comparisons run on that
+form alone, and the zero-section verdict is decided on it, by
 cross-multiplying the two sides' residues in one field; a Cyclotomic
 coefficient is built only for a caller that reads it, and the whole
-coefficient dict only when `coeffs` is read.
+coefficient dict, `coeffs`, is only a view of the form.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ def _coerce(x) -> Cyclotomic:
     if isinstance(x, (int, Fraction)):
         return Cyclotomic.from_rational(x)
     raise TypeError("series coefficients must be exact: %r" % (x,))
-
-
-_CYC_ONE = Cyclotomic.one()
 
 
 def _grlex_key(exps):
@@ -101,22 +100,6 @@ def _over_common_den(values, n):
     return vecs, den
 
 
-def _form_order(terms, form):
-    """The field order of a product operand: its integer form's, or the
-    common order of its coefficients."""
-    return _common_order(terms.values()) if form is None else form[0]
-
-
-def _operand_vecs(terms, form, n):
-    """Numerator vectors of a product operand inside Q(zeta_n), in the
-    order of terms, over one denominator.  An integer form is only lifted;
-    coefficients are scaled to their common denominator first."""
-    if form is None:
-        return _over_common_den(terms.values(), n)
-    m, acc, den = form
-    return [_lift_num(m, n, vec) for vec in acc.values()], den
-
-
 def _num_key(values) -> tuple:
     """Values as (order, num, den) triples: a cache key that hashes integers."""
     return tuple((v.order, v.num, v.den) for v in values)
@@ -125,9 +108,7 @@ def _num_key(values) -> tuple:
 class GradedSeries:
     """Polynomial truncation of a power series in num_vars variables.
 
-    A series built from coefficients holds only `coeffs`.  One built by
-    the integer kernel holds up to three forms, each made from the one
-    before it on first need:
+    Two forms are stored, the first made into the second on first need:
 
     - `factors`: None, or the one-variable columns (j, col) whose outer
       product this series is (see `_outer_product`); invert_unit inverts
@@ -135,12 +116,15 @@ class GradedSeries:
       never expanded.
     - the integer form, `_int_form()`: (n, {exponents: numerator vector},
       den), each vector a nonzero residue of Z[zeta_n] over the common
-      denominator den.  Products and koszul_ch stop here, and an outer
-      product expands into it; `==` and first_difference compare two
-      integer forms without building a Cyclotomic.
-    - `coeffs`: exponents -> nonzero Cyclotomic, one `_make` each, built
-      on the first read; `coefficient` on a series whose dict is not
-      built makes only the value it returns.
+      denominator den.  A series built from coefficients converts them
+      into it once; sums, products and koszul_ch build it directly, and
+      an outer product expands into it.  `==` and first_difference
+      compare two integer forms without building a Cyclotomic.
+
+    `coeffs` is a view: exponents -> nonzero Cyclotomic, one `_make`
+    each, built on the first read (a series built from coefficients keeps
+    the values it was given); `coefficient` makes only the value it
+    returns.
 
     Series are not modified after construction, so recorded forms stay
     valid.
@@ -154,7 +138,6 @@ class GradedSeries:
         self.num_vars = num_vars
         self.trunc_degree = trunc_degree
         self.factors = None
-        self._ints = None
         clean = {}
         for exps, val in (coeffs or {}).items():
             exps = tuple(exps)
@@ -166,28 +149,30 @@ class GradedSeries:
             if not val.is_zero():
                 clean[exps] = val
         self._coeffs = clean
+        n = _common_order(clean.values())
+        vecs, den = _over_common_den(clean.values(), n)
+        self._ints = (n, dict(zip(clean, vecs)), den)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _raw(num_vars, trunc_degree, coeffs=None, ints=None, factors=None):
-        # trusted input, at least one form given: canonical keys, nonzero
-        # Cyclotomic values in coeffs, nonzero numerator vectors in ints
+    def _raw(num_vars, trunc_degree, ints=None, factors=None):
+        # trusted input, ints or factors given: canonical keys, nonzero
+        # numerator vectors in ints
         s = GradedSeries.__new__(GradedSeries)
         s.num_vars = num_vars
         s.trunc_degree = trunc_degree
-        s._coeffs = coeffs
+        s._coeffs = None
         s._ints = ints
         s.factors = factors
         return s
 
     def _int_form(self):
-        """(n, {exponents: nonzero numerator vector}, den), or None.
+        """(n, {exponents: nonzero numerator vector}, den).
 
-        None for a series built from coefficients; an outer product is
-        expanded into it on the first call.
+        An outer product is expanded into it on the first call.
         """
-        if self._ints is None and self.factors is not None:
+        if self._ints is None:
             self._ints = _expand(self.num_vars, self.trunc_degree, self.factors)
         return self._ints
 
@@ -205,9 +190,7 @@ class GradedSeries:
 
     @staticmethod
     def constant(num_vars, trunc_degree, value) -> "GradedSeries":
-        return GradedSeries(
-            num_vars, trunc_degree, {(0,) * num_vars: _coerce(value)}
-        )
+        return GradedSeries(num_vars, trunc_degree, {(0,) * num_vars: value})
 
     @staticmethod
     def one(num_vars, trunc_degree) -> "GradedSeries":
@@ -228,37 +211,39 @@ class GradedSeries:
             raise ValueError("incompatible series shapes")
 
     def coefficient(self, exps) -> Cyclotomic:
-        exps = tuple(exps)
-        if self._coeffs is None:
-            n, acc, den = self._int_form()
-            vec = acc.get(exps)
-            return Cyclotomic.zero() if vec is None else _make(n, vec, den)
-        return self._coeffs.get(exps, Cyclotomic.zero())
+        n, acc, den = self._int_form()
+        vec = acc.get(tuple(exps))
+        return Cyclotomic.zero() if vec is None else _make(n, vec, den)
 
     @property
     def constant_term(self) -> Cyclotomic:
         return self.coefficient((0,) * self.num_vars)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._int_form()[1]
 
     def __add__(self, other):
         if not isinstance(other, GradedSeries):
             other = GradedSeries.constant(self.num_vars, self.trunc_degree, other)
         self._shape_check(other)
-        out = dict(self.coeffs)
-        for exps, val in other.coeffs.items():
-            out[exps] = out.get(exps, Cyclotomic.zero()) + val
-        return GradedSeries(self.num_vars, self.trunc_degree, out)
+        (na, va, da), (nb, vb, db) = self._int_form(), other._int_form()
+        n, den = lcm(na, nb), lcm(da, db)
+        acc = {}
+        for m, terms, d in ((na, va, da), (nb, vb, db)):
+            k = den // d
+            for key, vec in terms.items():
+                vec = [k * x for x in _lift_num(m, n, vec)]
+                cur = acc.get(key)
+                acc[key] = vec if cur is None else [s + t for s, t in zip(cur, vec)]
+        acc = {key: vec for key, vec in acc.items() if any(vec)}
+        return GradedSeries._raw(self.num_vars, self.trunc_degree, ints=(n, acc, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedSeries(
-            self.num_vars,
-            self.trunc_degree,
-            {e: -v for e, v in self.coeffs.items()},
-        )
+        n, acc, den = self._int_form()
+        neg = {key: [-x for x in vec] for key, vec in acc.items()}
+        return GradedSeries._raw(self.num_vars, self.trunc_degree, ints=(n, neg, den))
 
     def __sub__(self, other):
         if not isinstance(other, GradedSeries):
@@ -269,37 +254,26 @@ class GradedSeries:
         return (-self) + other
 
     def scale(self, value) -> "GradedSeries":
-        value = _coerce(value)
-        return GradedSeries(
-            self.num_vars,
-            self.trunc_degree,
-            {e: v * value for e, v in self.coeffs.items()},
-        )
+        return self * GradedSeries.constant(self.num_vars, self.trunc_degree, value)
 
     def __mul__(self, other):
         if not isinstance(other, GradedSeries):
             return self.scale(other)
         self._shape_check(other)
         d = self.trunc_degree
-        fa, fb = self._int_form(), other._int_form()
-        ta = self.coeffs if fa is None else fa[1]
-        tb = other.coeffs if fb is None else fb[1]
-        if not ta or not tb:
-            return GradedSeries.zero(self.num_vars, d)
-        for terms, form, series in ((ta, fa, other), (tb, fb, self)):
+        (na, ta, da), (nb, tb, db) = self._int_form(), other._int_form()
+        for terms, den, series in ((ta, da, other), (tb, db, self)):
             if len(terms) == 1:
                 ((e1, v1),) = terms.items()
-                if form is None:
-                    one = v1 == _CYC_ONE
-                else:  # in an integer form, 1 is the vector (den, 0, ..., 0)
-                    one = v1[0] == form[2] and not any(v1[1:])
-                if one:
+                # 1 is the vector (den, 0, ..., 0)
+                if v1[0] == den and not any(v1[1:]):
                     return _shift(series, e1)
-        n = lcm(_form_order(ta, fa), _form_order(tb, fb))
-        va, da = _operand_vecs(ta, fa, n)
-        vb, db = _operand_vecs(tb, fb, n)
-        lhs = [(sum(e), e, v) for e, v in zip(ta, va)]
-        rhs = sorted(((sum(e), e, v) for e, v in zip(tb, vb)), key=lambda t: t[0])
+        n = lcm(na, nb)
+        lhs = [(sum(e), e, _lift_num(na, n, v)) for e, v in ta.items()]
+        rhs = sorted(
+            ((sum(e), e, _lift_num(nb, n, v)) for e, v in tb.items()),
+            key=lambda t: t[0],
+        )
         acc = {}
         for d1, e1, a in lhs:
             budget = d - d1
@@ -331,7 +305,7 @@ class GradedSeries:
         return (
             self.num_vars == other.num_vars
             and self.trunc_degree == other.trunc_degree
-            and _same_values(self, other)
+            and _int_agree(self, other)
         )
 
     def terms(self):
@@ -376,19 +350,17 @@ def series_mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
 
 
 def _shift(s: GradedSeries, exps) -> GradedSeries:
-    """s times the monomial x^exps, truncated; an integer form stays one."""
+    """s times the monomial x^exps, truncated."""
     if not any(exps):
         return s
     budget = s.trunc_degree - sum(exps)
-    form = s._int_form()
+    n, acc, den = s._int_form()
     out = {
         tuple(a + b for a, b in zip(exps, e2)): v2
-        for e2, v2 in (s.coeffs if form is None else form[1]).items()
+        for e2, v2 in acc.items()
         if sum(e2) <= budget
     }
-    if form is None:
-        return GradedSeries._raw(s.num_vars, s.trunc_degree, out)
-    return GradedSeries._raw(s.num_vars, s.trunc_degree, ints=(form[0], out, form[2]))
+    return GradedSeries._raw(s.num_vars, s.trunc_degree, ints=(n, out, den))
 
 
 @lru_cache(maxsize=256)
@@ -509,11 +481,11 @@ def invert_unit(s: GradedSeries) -> GradedSeries:
     outer product.  Its columns are the recorded `factors` when it was
     built as an outer product (todd_delocalized does so); otherwise an
     exact product check detects whether it splits into one-variable
-    slices.  A series that does not split, writing s = c(1 + t), is
-    inverted by the recurrence b_m = -sum_k t_k b_{m-|k|}, which fills the
-    inverse degree by degree at the cost of about one series product.
-    Recorded columns are checked by their constants, the factors of the
-    constant term, so an unexpanded outer product stays unexpanded.
+    slices.  A series that does not split, written s = c(1 - t) with t of
+    zero constant term, has the inverse c^{-1}(1 + t + ... + t^D), summed
+    by Horner's rule in D series products.  Recorded columns are checked
+    by their constants, the factors of the constant term, so an unexpanded
+    outer product stays unexpanded.
     """
     d = s.trunc_degree
     if s.factors is not None:
@@ -530,38 +502,12 @@ def invert_unit(s: GradedSeries) -> GradedSeries:
             s.num_vars, d, [(j, _univar_inverse(_num_key(col))) for j, col in split]
         )
     cinv = c.inverse()
-    origin = (0,) * s.num_vars
-    unit = s.scale(cinv)
-    tail = [
-        (sum(exps), exps, val)
-        for exps, val in unit.coeffs.items()
-        if exps != origin
-    ]
-    layers = [dict() for _ in range(d + 1)]
-    layers[0][origin] = Cyclotomic.one()
-    for m in range(1, d + 1):
-        layer = layers[m]
-        for deg, exps, val in tail:
-            if deg > m:
-                continue
-            for e2, w in layers[m - deg].items():
-                key = tuple(a + b for a, b in zip(exps, e2))
-                prod = val * w
-                if key in layer:
-                    layer[key] = layer[key] + prod
-                else:
-                    layer[key] = prod
-        for key, acc in list(layer.items()):
-            acc = -acc
-            if acc.is_zero():
-                del layer[key]
-            else:
-                layer[key] = acc
-    out = {}
-    for layer in layers:
-        for key, val in layer.items():
-            out[key] = val * cinv
-    return GradedSeries(s.num_vars, d, out)
+    one = GradedSeries.one(s.num_vars, d)
+    t = one - s.scale(cinv)
+    out = one
+    for _ in range(d):
+        out = one + t * out
+    return out.scale(cinv)
 
 
 def exp_nilpotent(s: GradedSeries) -> GradedSeries:
@@ -584,6 +530,8 @@ class NormalModel:
     __slots__ = ("lines", "trunc_degree", "num_vars")
 
     def __init__(self, lines, trunc_degree, num_vars=None):
+        if not isinstance(trunc_degree, int) or trunc_degree < 0:
+            raise ValueError("truncation degree must be nonnegative")
         lines = tuple((_coerce(z), int(j)) for z, j in lines)
         indices = [j for _, j in lines]
         if len(set(indices)) != len(indices):
@@ -756,18 +704,15 @@ class ZeroSectionReport:
         return "ZeroSectionReport(failed at %r)" % (self.first_mismatch,)
 
 
-def _int_agree(a: GradedSeries, b: GradedSeries):
+def _int_agree(a: GradedSeries, b: GradedSeries) -> bool:
     """Whether a and b are equal, decided on their integer forms.
 
-    None when either series has no integer form.  Residues mod Phi_m are
-    canonical, so x/da equals y/db exactly when x*db == y*da once both
-    numerators are lifted into Q(zeta_m), m = lcm(n_a, n_b); the forms
-    hold only nonzero vectors, so the key sets must agree first.
+    Residues mod Phi_m are canonical, so x/da equals y/db exactly when
+    x*db == y*da once both numerators are lifted into Q(zeta_m),
+    m = lcm(n_a, n_b); the forms hold only nonzero vectors, so the key
+    sets must agree first.
     """
-    fa, fb = a._int_form(), b._int_form()
-    if fa is None or fb is None:
-        return None
-    (na, va, da), (nb, vb, db) = fa, fb
+    (na, va, da), (nb, vb, db) = a._int_form(), b._int_form()
     if va.keys() != vb.keys():
         return False
     m = lcm(na, nb)
@@ -779,19 +724,13 @@ def _int_agree(a: GradedSeries, b: GradedSeries):
     return [p * db for x in xs for p in x] == [q * da for y in ys for q in y]
 
 
-def _same_values(a: GradedSeries, b: GradedSeries) -> bool:
-    agree = _int_agree(a, b)
-    return a.coeffs == b.coeffs if agree is None else agree
-
-
 def first_difference(a: GradedSeries, b: GradedSeries):
     """Graded-lex smallest exponent tuple where two series differ, or None.
 
-    Two integer forms are compared on the integers (`_int_agree`); the
-    Cyclotomic coefficients are built and walked only when they differ, or
-    when a side has no integer form.
+    The integer forms are compared on the integers (`_int_agree`); the
+    Cyclotomic coefficients are built and walked only when they differ.
     """
-    if _same_values(a, b):
+    if _int_agree(a, b):
         return None
     keys = set(a.coeffs) | set(b.coeffs)
     for exps in sorted(keys, key=_grlex_key):

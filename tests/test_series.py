@@ -103,6 +103,13 @@ def test_todd_minus_one_line():
     assert todd_delocalized(model) == s(1, 1, {(0,): F(1, 2), (1,): F(1, 4)})
 
 
+def test_normal_model_rejects_bad_truncation_degree():
+    for d in (-1, 2.0, F(2), "2"):
+        with pytest.raises(ValueError, match="^truncation degree must be nonnegative$"):
+            NormalModel([(E(4), 0)], d)
+    assert NormalModel([(E(4), 0)], 0).trunc_degree == 0
+
+
 def test_todd_empty_model():
     assert todd_delocalized(NormalModel([], 3, num_vars=0)) == GradedSeries.one(0, 3)
 
@@ -219,6 +226,107 @@ def test_invert_non_split_unit_uses_recurrence():
     assert _axis_factors(u) is None
     assert u * invert_unit(u) == GradedSeries.one(2, 4)
     assert u.scale(3) * invert_unit(u.scale(3)) == GradedSeries.one(2, 4)
+
+
+def test_invert_non_split_unit_with_irrational_constant():
+    rng = random.Random(0x1E8)
+    for n, r in ((8, 2), (12, 2), (8, 3), (12, 3)):
+        one = GradedSeries.one(r, 4)
+        for _ in range(4):
+            coeffs = {(0,) * r: 2 + E(n)}
+            for exps in itertools.product(range(5), repeat=r):
+                if 0 < sum(exps) <= 4 and rng.random() < 0.4:
+                    coeffs[exps] = E(n, rng.randrange(n)) * F(rng.randint(-3, 3), 2)
+            # a mixed monomial the slices along the axes cannot carry
+            coeffs[(1, 1) + (0,) * (r - 2)] = E(n, rng.randrange(n)) + 1
+            u = s(r, 4, coeffs)
+            assert _axis_factors(u) is None
+            inv = invert_unit(u)
+            assert u * inv == one and inv * u == one, u
+    y = GradedSeries.variable(2, 4, 0).scale(E(3)) + GradedSeries.variable(2, 4, 1)
+    assert exp_nilpotent(y) * exp_nilpotent(-y) == GradedSeries.one(2, 4)
+
+
+_ORDERS = (1, 3, 4, 5, 8, 12)
+
+
+def _random_value(rng):
+    """A rational part over one of several denominators plus 0 to 2 roots of
+    unity of an order from _ORDERS; 1 may come stored as E(n, 0)."""
+    val = Cyclotomic.from_rational(F(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6, 9))))
+    for _ in range(rng.randrange(3)):
+        n = rng.choice(_ORDERS)
+        val = val + E(n, rng.randrange(n)) * F(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+    return val
+
+
+def _random_coeffs(rng, num_vars, trunc):
+    return {
+        exps: _random_value(rng)
+        for exps in itertools.product(range(trunc + 1), repeat=num_vars)
+        if sum(exps) <= trunc and rng.random() < 0.6
+    }
+
+
+def _assert_coefficientwise(got, want):
+    """got holds exactly the nonzero values of want, monomial by monomial."""
+    want = {e: v for e, v in want.items() if not v.is_zero()}
+    assert set(got.coeffs) == set(want), (got, want)
+    for e, v in want.items():
+        assert got.coefficient(e) == v and got.coeffs[e] == v, (e, got, want)
+
+
+def test_ring_operations_match_cyclotomic_arithmetic():
+    rng = random.Random(0x5E12)
+    zero = Cyclotomic.zero()
+    for _ in range(12):
+        r, d = rng.randint(1, 3), rng.randint(0, 3)
+        ca, cb = _random_coeffs(rng, r, d), _random_coeffs(rng, r, d)
+        # cancellations: some monomials of b are minus those of a, once at
+        # another order than the one a holds them at
+        for e in rng.sample(sorted(ca), len(ca) // 2):
+            cb[e] = -ca[e].lift(ca[e].order * rng.choice((1, 3, 4)))
+        a, b = s(r, d, ca), s(r, d, cb)
+        keys = set(ca) | set(cb)
+        _assert_coefficientwise(
+            a + b, {e: ca.get(e, zero) + cb.get(e, zero) for e in keys}
+        )
+        _assert_coefficientwise(
+            a - b, {e: ca.get(e, zero) - cb.get(e, zero) for e in keys}
+        )
+        _assert_coefficientwise(-a, {e: -v for e, v in ca.items()})
+        for v in (3, F(-5, 6), E(5, 2) - F(1, 3), Cyclotomic.zero()):
+            _assert_coefficientwise(a.scale(v), {e: w * v for e, w in ca.items()})
+        prod = {}
+        for (e1, v1), (e2, v2) in itertools.product(ca.items(), cb.items()):
+            if sum(e1) + sum(e2) <= d:
+                key = tuple(x + y for x, y in zip(e1, e2))
+                prod[key] = prod.get(key, zero) + v1 * v2
+        _assert_coefficientwise(a * b, prod)
+        assert (a + (-a)).is_zero() and (a - a).coeffs == {}
+        assert a - a == GradedSeries.zero(r, d) == (-a) + a
+
+
+def test_ring_operations_build_no_coefficient(monkeypatch):
+    rng = random.Random(0xA11)
+    a, b = s(2, 3, _random_coeffs(rng, 2, 3)), s(2, 3, _random_coeffs(rng, 2, 3))
+    assert len(a.coeffs) >= 3 and len(b.coeffs) >= 3
+    root = E(8, 3)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _make(*args)
+
+    monkeypatch.setattr(exactnum, "_make", counting)
+    monkeypatch.setattr(series, "_make", counting)
+    results = [a + b, a - b, -a, a * b]
+    assert calls == []
+    # scale coerces an int or Fraction scalar, and makes nothing else
+    results += [a.scale(3), a.scale(F(2, 7)), a.scale(root)]
+    assert len(calls) <= 2
+    monkeypatch.undo()
+    assert results[0] - b == a and results[3] == b * a
 
 
 def test_koszul_single_line_is_definition():
@@ -458,10 +566,10 @@ def test_integer_verdict_matches_cyclotomic_comparison():
         (a._int_form()[0], b._int_form()[0]) for tag, a, b in pairs if tag == "sides"
     }
     assert (12, 1) in orders and (77, 77) in orders
-    # a series without an integer form is compared on its coefficients
+    # a series built from coefficients is compared as the one it copies
     for _, a, b in pairs[:20]:
         plain = s(b.num_vars, b.trunc_degree, b.coeffs)
-        assert series._int_agree(a, plain) is None
+        assert series._int_agree(a, plain) == series._int_agree(a, b)
         assert first_difference(a, plain) == _walk(a, b)
         assert (a == plain) == (a == b)
 
