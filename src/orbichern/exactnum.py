@@ -9,9 +9,12 @@ The form is canonical, so equality is a tuple comparison.  Every
 operation runs on integers through one private kernel: `_reduce` (fold
 exponents modulo n, rewrite through Phi_n), `_conv` (the one
 convolution, with `_mul_rows` its matrix form for a repeated factor),
-`_lift_num` (zeta_n -> zeta_m^(m/n) on a numerator) and `_make` (one gcd
-to lowest terms), which `series` uses as well.
-Fraction coordinates are built only on request (`coeffs`).
+`_galois` (zeta_n -> zeta_n^k on a numerator), `_lift_num`
+(zeta_n -> zeta_m^(m/n) on a numerator) and `_make` (one gcd to lowest
+terms), which `series` uses as well.  The inverse is a norm: num times
+the product of its other Galois conjugates is an integer.  Fraction
+arithmetic is left only in `descend`'s linear solve and at the input
+boundary; Fraction coordinates are built only on request (`coeffs`).
 Binary operations on operands of different orders lift both to the least
 common order via zeta_m -> zeta_M^(M/m); results keep that common order
 and are never descended automatically.  The scalar fast paths keep that
@@ -141,6 +144,15 @@ def _mul_rows(n, a) -> tuple:
     return tuple(zip(*(_reduce(n, [0] * i + list(a)) for i in range(len(a)))))
 
 
+def _galois(n, num, k) -> list:
+    """The residue num of Z[zeta_n] under zeta -> zeta^k, k prime to n."""
+    raw = [0] * n
+    for i, c in enumerate(num):
+        if c:
+            raw[i * k % n] += c
+    return _reduce(n, raw)
+
+
 def _lift_num(n, m, num):
     """The residue num of Z[zeta_n] as a residue of Z[zeta_m], m a multiple of n.
 
@@ -193,32 +205,6 @@ def canonicalize(order: int, coeffs) -> tuple:
     """
     num, den = _from_coeffs(order, coeffs)
     return tuple(Fraction(x, den) for x in num)
-
-
-def _pstrip(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _pdivmod(num, den):
-    """Quotient and remainder of Fraction polynomials, constant term first."""
-    num = list(num)
-    dd = len(den) - 1
-    if len(num) <= dd:
-        return [], _pstrip(num)
-    out = [_F0] * (len(num) - dd)
-    lead = den[-1]
-    for top in range(len(num) - 1, dd - 1, -1):
-        c = num[top]
-        if c:
-            k = top - dd
-            f = c / lead
-            out[k] = f
-            for i, dc in enumerate(den):
-                if dc:
-                    num[k + i] -= f * dc
-    return out, _pstrip(num[:dd])
 
 
 def _solve_rational(cols, target):
@@ -389,7 +375,7 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse by extended Euclid against Phi_order."""
+        """Multiplicative inverse, through the norm of the numerator."""
         return _inverse(self.order, self.num, self.den)
 
     def __truediv__(self, other):
@@ -421,11 +407,7 @@ class Cyclotomic:
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugate: zeta -> zeta^(order-1)."""
         n = self.order
-        raw = [0] * n
-        for k, c in enumerate(self.num):
-            if c:
-                raw[(k * (n - 1)) % n] += c
-        return _make(n, _reduce(n, raw), self.den)
+        return _make(n, _galois(n, self.num, n - 1), self.den)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -537,34 +519,25 @@ def _add_rational(n, num, den, p, q) -> Cyclotomic:
 
 @lru_cache(maxsize=1024)
 def _inverse(order, num, den) -> Cyclotomic:
-    """(num/den)^-1 in Q(zeta_order), by extended Euclid against Phi_order.
+    """(num/den)^-1 in Q(zeta_order), through the norm of num.
 
-    Cached per value: koszul_ch inverts the same roots of unity in every
-    model, and each inversion runs Euclid on Fraction polynomials.
+    R is the product of the conjugates `_galois(order, num, k)` over k
+    prime to order with k != 1, so num * R is the norm N of num, a nonzero
+    integer: only coordinate 0 of num * R is nonzero, and the inverse is
+    den * R / N.  The sign of N moves into R, so the denominator stays
+    positive.  Cached per value: koszul_ch inverts the same roots of unity
+    in every model.
     """
     if not any(num):
         raise ZeroDivisionError("cyclotomic division by zero")
-    if not any(num[1:]):
-        p = num[0]
-        sign = -1 if p < 0 else 1
-        return _make(order, (sign * den,) + num[1:], sign * p)
-    phi_poly = [Fraction(c) for c in cyclotomic_polynomial(order)]
-    r0, v0 = phi_poly, [_F0]
-    r1, v1 = _pstrip([Fraction(c) for c in num]), [_F1]
-    while len(r1) > 1:
-        q, r = _pdivmod(r0, r1)
-        # v = v0 - q*v1
-        v = [_F0] * max(len(v0), len(q) + len(v1) - 1)
-        for i, c in enumerate(v0):
-            v[i] += c
-        for i, qi in enumerate(q):
-            if qi:
-                for j, vj in enumerate(v1):
-                    if vj:
-                        v[i + j] -= qi * vj
-        r0, v0, r1, v1 = r1, v1, r, _pstrip(v)
-    c = r1[0]  # nonzero: Phi_order is irreducible over Q
-    return _make(order, *_from_coeffs(order, [vi * den / c for vi in v1]))
+    rest = [1]
+    for k in range(2, order):
+        if math.gcd(k, order) == 1:
+            rest = _conv(order, rest, _galois(order, num, k))
+    norm = _conv(order, num, rest)[0]
+    if norm < 0:
+        norm, rest = -norm, [-x for x in rest]
+    return _make(order, [den * x for x in rest], norm)
 
 
 def _coerce(x):

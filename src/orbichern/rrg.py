@@ -174,23 +174,14 @@ def _quotient_representation(ambient, inclusion, sub):
             raise ValueError("inclusion is not equivariant at element %d" % g)
     if vd == wd:
         return Representation.zero_dimensional(ambient.group)
-    cols = [tuple(inclusion.rows[r][c] for r in range(wd)) for c in range(vd)]
-    basis = cols[:]
-    for j in range(wd):
-        candidate = tuple(
-            Cyclotomic.one() if r == j else Cyclotomic.zero() for r in range(wd)
-        )
-        trial = Matrix.from_rows(
-            [[col[r] for col in basis + [candidate]] for r in range(wd)]
-        )
-        if trial.rank() == len(basis) + 1:
-            basis.append(candidate)
-        if len(basis) == wd:
-            break
-    b = Matrix.from_rows([[col[r] for col in basis] for r in range(wd)])
+    # the pivot columns are the inclusion's, then each unit vector outside
+    # the span of the columns before it: the greedy completion to a basis
+    eye = Matrix.identity(wd)
+    b = inclusion.hstack(eye).column_space()
+    binv = b.solve(eye)
     mats = []
     for g in range(ambient.group.size):
-        conj = b.solve(ambient.mats[g] * b)
+        conj = binv * ambient.mats[g] * b
         rows = [
             tuple(conj.rows[i][j] for j in range(vd, wd)) for i in range(vd, wd)
         ]

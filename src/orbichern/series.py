@@ -133,7 +133,7 @@ class GradedSeries:
     __slots__ = ("num_vars", "trunc_degree", "_coeffs", "_ints", "factors")
 
     def __init__(self, num_vars, trunc_degree, coeffs=None):
-        if trunc_degree < 0:
+        if not isinstance(trunc_degree, int) or trunc_degree < 0:
             raise ValueError("truncation degree must be nonnegative")
         self.num_vars = num_vars
         self.trunc_degree = trunc_degree
@@ -448,59 +448,27 @@ def _expand(num_vars, trunc_degree, factors) -> tuple:
     return n, acc, den
 
 
-def _axis_factors(s: GradedSeries):
-    """Columns whose outer product is exactly s, or None if s does not split.
-
-    The column of each variable is the slice of s along its axis; all but
-    the first are divided by the constant term, so the product carries it
-    once.  The check is an exact comparison, so a split is never assumed.
-    """
-    d, r = s.trunc_degree, s.num_vars
-    used = sorted({j for exps in s.coeffs for j, e in enumerate(exps) if e})
-    if not used:
-        return None
-    c = s.constant_term
-    cinv = c.inverse()
-    factors = []
-    for j in used:
-        col = [c]
-        for k in range(1, d + 1):
-            col.append(s.coefficient(tuple(k if i == j else 0 for i in range(r))))
-        if factors:
-            col = [v * cinv for v in col]
-        factors.append((j, tuple(col)))
-    if _outer_product(r, d, factors) == s:
-        return factors
-    return None
-
-
 def invert_unit(s: GradedSeries) -> GradedSeries:
     """Multiplicative inverse within truncation; needs a nonzero constant.
 
-    A split series is inverted column by column and rebuilt by the same
-    outer product.  Its columns are the recorded `factors` when it was
-    built as an outer product (todd_delocalized does so); otherwise an
-    exact product check detects whether it splits into one-variable
-    slices.  A series that does not split, written s = c(1 - t) with t of
-    zero constant term, has the inverse c^{-1}(1 + t + ... + t^D), summed
-    by Horner's rule in D series products.  Recorded columns are checked
-    by their constants, the factors of the constant term, so an unexpanded
-    outer product stays unexpanded.
+    A series built as an outer product (todd_delocalized builds one) is
+    inverted column by column, through its recorded `factors`, and rebuilt
+    by the same outer product; its constants, the factors of the constant
+    term, are checked, so an unexpanded outer product stays unexpanded.
+    Any other unit, written s = c(1 - t) with t of zero constant term, has
+    the inverse c^{-1}(1 + t + ... + t^D), summed by Horner's rule in D
+    series products.
     """
     d = s.trunc_degree
     if s.factors is not None:
         if any(col[0].is_zero() for _, col in s.factors):
             raise ValueError("not a unit: zero constant term")
-        split = s.factors
-    else:
-        c = s.constant_term
-        if c.is_zero():
-            raise ValueError("not a unit: zero constant term")
-        split = _axis_factors(s)
-    if split is not None:
         return _outer_product(
-            s.num_vars, d, [(j, _univar_inverse(_num_key(col))) for j, col in split]
+            s.num_vars, d, [(j, _univar_inverse(_num_key(col))) for j, col in s.factors]
         )
+    c = s.constant_term
+    if c.is_zero():
+        raise ValueError("not a unit: zero constant term")
     cinv = c.inverse()
     one = GradedSeries.one(s.num_vars, d)
     t = one - s.scale(cinv)

@@ -10,6 +10,8 @@ from orbichern import exactnum
 from orbichern.exactnum import (
     Cyclotomic,
     Rational,
+    _conv,
+    _galois,
     _make,
     _mul_rows,
     canonicalize,
@@ -247,6 +249,50 @@ def test_integer_kernel_matches_oracle():
                 a / b
         q = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         assert _same(a + q, oa + q) and _same(q * a, q * oa) and _same(q - a, q - oa)
+
+
+def test_galois_action_laws():
+    rng = random.Random(0x6A105)
+    for n in ORACLE_ORDERS:
+        phi = euler_phi(n)
+        units = [k for k in range(n) if math.gcd(k, n) == 1]
+        for _ in range(6):
+            a = [rng.randint(-5, 5) for _ in range(phi)]
+            b = [rng.randint(-5, 5) for _ in range(phi)]
+            j, k = rng.choice(units), rng.choice(units)
+            assert _galois(n, a, 1) == a
+            assert _galois(n, _galois(n, a, k), j) == _galois(n, a, j * k % n)
+            total = [x + y for x, y in zip(a, b)]
+            ga, gb = _galois(n, a, k), _galois(n, b, k)
+            assert _galois(n, total, k) == [x + y for x, y in zip(ga, gb)]
+            assert _galois(n, _conv(n, a, b), k) == _conv(n, ga, gb)
+            den = rng.randint(1, 9)
+            conj = _make(n, a, den).conjugate()
+            assert conj == _make(n, _galois(n, a, n - 1), den)
+
+
+def _canonical(v):
+    phi = euler_phi(v.order)
+    return v.den > 0 and math.gcd(v.den, *v.num) == 1 and len(v.num) == phi
+
+
+def test_inverse_in_fields_past_the_oracle_orders():
+    rng = random.Random(0x1A97)
+    values = [1 + E(97), 1 - E(97) + E(97, 40)]
+    for n in (60, 97):
+        values += [Cyclotomic.from_rational(Fraction(-7, 3)).lift(n), E(n, 5)]
+    for _ in range(6):
+        raw = [0] * euler_phi(60)
+        for i in rng.sample(range(len(raw)), 4):
+            raw[i] = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 5))
+        values.append(Cyclotomic(60, raw))
+    for x in values:
+        inv = x.inverse()
+        assert inv.order == x.order and _canonical(inv)
+        prod = x * inv
+        assert prod == 1 and (prod.num, prod.den) == ((1,) + (0,) * (len(x.num) - 1), 1)
+        back = inv.inverse()
+        assert (back.order, back.num, back.den) == (x.order, x.num, x.den)
 
 
 # -- scalar fast paths and the printer against the oracle --------------------

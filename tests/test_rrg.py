@@ -1,6 +1,7 @@
 """Verifier layer: pushforwards, zero sections, degree-0 induction, Todd."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -395,6 +396,62 @@ def test_zero_section_rejects_trunc_below_normal_rank():
     assert check_zero_section(
         ZeroSectionScenario(c2, sub, ambient, inclusion, line(c2), 1)
     ).passed
+
+
+def _greedy_normal_mats(ambient, inclusion):
+    """The normal matrices, the basis completed by trial: one rank per unit vector."""
+    wd, vd = inclusion.shape()
+    basis = [inclusion.column(c) for c in range(vd)]
+    for j in range(wd):
+        candidate = tuple(
+            Cyclotomic.one() if r == j else Cyclotomic.zero() for r in range(wd)
+        )
+        trial = Matrix.from_rows(
+            [[col[r] for col in basis + [candidate]] for r in range(wd)]
+        )
+        if trial.rank() == len(basis) + 1:
+            basis.append(candidate)
+        if len(basis) == wd:
+            break
+    b = Matrix.from_rows([[col[r] for col in basis] for r in range(wd)])
+    return [
+        b.solve(ambient.mats[g] * b).submatrix(range(vd, wd), range(vd, wd))
+        for g in range(ambient.group.size)
+    ]
+
+
+def test_quotient_chart_matches_greedy_completion():
+    rng = random.Random(0x9C07)
+    groups = [
+        FiniteGroup.symmetric(3),
+        FiniteGroup.dihedral(4),
+        FiniteGroup.cyclic(4),
+        FiniteGroup.quaternion(),
+    ]
+    entries = [0, 0, 0, 1, -1, 2, Fraction(1, 2), E(3), E(4), 1 + E(8)]
+    for _ in range(60):
+        group = rng.choice(groups)
+        if rng.random() < 0.2:
+            sub = Representation.zero_dimensional(group)
+        else:
+            sub = random_rep(rng, group, 3)
+        whole = direct_sum(sub, random_rep(rng, group, 3))
+        wd, vd = whole.dim, sub.dim
+        while True:
+            p = Matrix.from_rows(
+                [[rng.choice(entries) for _ in range(wd)] for _ in range(wd)]
+            )
+            if p.rank() == wd:
+                break
+        # whole in the basis of the columns of p: sub sits on the first vd
+        pinv = p.solve(Matrix.identity(wd))
+        ambient = Representation(
+            group, [p * m * pinv for m in whole.mats], check=False
+        )
+        inclusion = p.submatrix(range(wd), range(vd))
+        normal = rrg._quotient_representation(ambient, inclusion, sub)
+        want = _greedy_normal_mats(ambient, inclusion)
+        assert [str(m) for m in normal.mats] == [str(m) for m in want]
 
 
 # -- general degree zero ------------------------------------------------------
