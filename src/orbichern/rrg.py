@@ -122,13 +122,17 @@ class CheckReport:
 # -- scenario content hashing -------------------------------------------
 
 
+# Entries are joined from lists, not from generators or map(str, ...): on
+# CPython 3.11 a list comprehension of str(v) is the fastest of the three.
+
+
 def _group_key(group):
-    return ";".join(",".join(str(v) for v in row) for row in group.table)
+    return ";".join([",".join([str(v) for v in row]) for row in group.table])
 
 
 def _matrix_key(mat):
     return "%dx%d:" % (mat.nrows, mat.ncols) + ",".join(
-        str(e) for row in mat.rows for e in row
+        [str(e) for row in mat.rows for e in row]
     )
 
 
@@ -144,7 +148,7 @@ def _complex_key(cx):
 
 def _emb_key(emb):
     return _group_key(emb.source) + ">" + _group_key(emb.target) + ">" + ",".join(
-        str(v) for v in emb.mapping
+        [str(v) for v in emb.mapping]
     )
 
 

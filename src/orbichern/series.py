@@ -17,9 +17,13 @@ rather than by multiplying per-line factors, so the identity check
 compares two genuinely independent computational paths.  The subset sum
 is grouped by support: the subset products are summed over supersets
 once, and each monomial scales the sum for its support by its weight.
-The Todd side is an outer product of one-variable columns; in small
-fields it is expanded through each column entry's integer multiplication
-matrix.
+The Todd side is an outer product of one-variable columns, expanded by
+a walk that takes the columns with the most irrational entries first and
+writes the last column's monomials in place: a rational column entry
+scales the prefix it meets, and in small fields any other entry
+multiplies it through the entry's integer matrix.  The Euler monomial
+shifts the recorded columns before the walk, so the walk builds no
+monomial past the truncation.
 
 Every series is held in one integer form, (n, {exponents: numerator
 vector}, den): every coefficient a nonzero residue of Z[zeta_n] over one
@@ -350,9 +354,25 @@ def series_mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
 
 
 def _shift(s: GradedSeries, exps) -> GradedSeries:
-    """s times the monomial x^exps, truncated."""
+    """s times the monomial x^exps, truncated.
+
+    An outer product not yet expanded is shifted by its columns: x_j^e_j
+    times col_j is col_j behind e_j zeros, and a variable with no column
+    takes the column x_j^e_j, so `_expand` builds no monomial past the
+    truncation.  Any other series shifts the keys of its integer form.
+    """
     if not any(exps):
         return s
+    if s._ints is None:
+        zero = Cyclotomic.zero()
+        cols = [(j, (zero,) * exps[j] + col) for j, col in s.factors]
+        have = {j for j, _ in s.factors}
+        cols += [
+            (j, (zero,) * e + (Cyclotomic.one(),))
+            for j, e in enumerate(exps)
+            if e and j not in have
+        ]
+        return _outer_product(s.num_vars, s.trunc_degree, cols)
     budget = s.trunc_degree - sum(exps)
     n, acc, den = s._int_form()
     out = {
@@ -404,32 +424,44 @@ def _expand(num_vars, trunc_degree, factors) -> tuple:
     The x^a coefficient is prod_j col_j[a_j], formed over the integers in
     one Q(zeta_n), each column over its own common denominator: a
     depth-first walk over the factors keeps each prefix product as one
-    numerator vector, so every monomial extending a prefix shares it.  The
-    leaves are products of nonzero residues, so none is zero.  In fields of
-    degree up to _ROWS_MAX_PHI each step multiplies the prefix by the
-    integer matrix of a column entry (`exactnum._mul_rows`, cached per
-    entry), since one entry meets every prefix of the walk.
+    numerator vector, so every monomial extending a prefix shares it, and
+    the last column writes its leaves into acc in place.  The leaves are
+    products of nonzero residues, so none is zero.  Past the first column
+    an entry only multiplies a prefix: a rational entry (its vector zero
+    past index 0) is kept as that integer and scales the prefix, phi
+    multiplications; in fields of degree up to _ROWS_MAX_PHI any other
+    entry multiplies through its integer matrix (`exactnum._mul_rows`,
+    cached per entry), since one entry meets every prefix of the walk.
+    The columns are walked by their count of irrational entries, most
+    first, so the cheap rational products fall on the leaves, where most
+    products are; acc is keyed by exponents, so the order changes no
+    value.
     """
     n = _common_order(*(col for _, col in factors))
     phi = euler_phi(n)
     by_rows = phi <= _ROWS_MAX_PHI
-    flat = []
+    cols = []
     den = 1
-    for i, (j, col) in enumerate(factors):
+    for j, col in factors:
         vecs, cden = _over_common_den(col, n)
-        entries = [(k, v) for k, v in enumerate(vecs) if any(v)]
-        if i and by_rows:
-            # past the first factor an entry only multiplies: keep its matrix
-            entries = [(k, _mul_rows(n, tuple(v))) for k, v in entries]
-        flat.append((j, entries))
+        cols.append((j, [(k, v) for k, v in enumerate(vecs) if any(v)]))
         den *= cden
+    cols.sort(key=lambda c: -sum(1 for _, v in c[1] if any(v[1:])))
+    flat = cols[:1]
+    for j, entries in cols[1:]:
+        ops = []
+        for k, v in entries:
+            if not any(v[1:]):
+                v = v[0]
+            elif by_rows:
+                v = _mul_rows(n, tuple(v))
+            ops.append((k, v))
+        flat.append((j, ops))
     acc = {}
     exps = [0] * num_vars
+    last = len(flat) - 1
 
     def extend(i, budget, vec):
-        if i == len(flat):
-            acc[tuple(exps)] = vec
-            return
         j, entries = flat[i]
         for k, v in entries:
             if k > budget:
@@ -437,14 +469,22 @@ def _expand(num_vars, trunc_degree, factors) -> tuple:
             exps[j] = k
             if not i:
                 prod = v
+            elif type(v) is int:
+                prod = [v * x for x in vec]
             elif by_rows:
                 prod = [sum(map(mul, row, vec)) for row in v]
             else:
                 prod = _conv(n, vec, v)
-            extend(i + 1, budget - k, prod)
+            if i == last:
+                acc[tuple(exps)] = prod
+            else:
+                extend(i + 1, budget - k, prod)
         exps[j] = 0
 
-    extend(0, trunc_degree, [1] + [0] * (phi - 1))
+    if flat:
+        extend(0, trunc_degree, None)
+    else:
+        acc[tuple(exps)] = [1]
     return n, acc, den
 
 

@@ -259,6 +259,56 @@ def test_induction_operation_counts(monkeypatch):
     assert counts["_make"] <= 16 and counts["_lift_num"] == 0, counts
 
 
+def _generator_group_key(group):
+    """The scenario text of a group as first written: one generator per row."""
+    return ";".join(",".join(str(v) for v in row) for row in group.table)
+
+
+def _generator_matrix_key(mat):
+    return "%dx%d:" % (mat.nrows, mat.ncols) + ",".join(
+        str(e) for row in mat.rows for e in row
+    )
+
+
+def _generator_rep_key(rep):
+    return "|".join(_generator_matrix_key(m) for m in rep.mats)
+
+
+def _generator_iso_parts(sc):
+    emb, cx = sc.emb, sc.complex
+    return (
+        "iso",
+        _generator_group_key(emb.source)
+        + ">"
+        + _generator_group_key(emb.target)
+        + ">"
+        + ",".join(str(v) for v in emb.mapping),
+        _generator_rep_key(sc.chart),
+        "deg%d;" % cx.min_degree
+        + "|".join(_generator_rep_key(p) for p in cx.pieces)
+        + ";"
+        + "|".join(_generator_matrix_key(d) for d in cx.diffs),
+    )
+
+
+def test_scenario_hash_text_matches_generator_keys():
+    """The scenario text is byte for byte the one the generator keys built,
+    so every printed scenario hash stays the same."""
+    for _, _, sc in _induction_corpus():
+        old = _generator_iso_parts(sc)
+        new = (
+            "iso",
+            rrg._emb_key(sc.emb),
+            rrg._rep_key(sc.chart),
+            rrg._complex_key(sc.complex),
+        )
+        assert "\x1f".join(new).encode() == "\x1f".join(old).encode()
+        assert sc.hash() == rrg.content_hash(*old)
+    for shape in ((2, 0), (0, 3), (0, 0), (1, 1), (2, 3)):
+        mat = Matrix.zero(*shape)
+        assert rrg._matrix_key(mat) == _generator_matrix_key(mat)
+
+
 # -- zero section -----------------------------------------------------------
 
 

@@ -165,6 +165,10 @@ def _oracle_models():
         ([(-1, 0), (E(3, 1), 1), (E(3, 2), 2)], 3),
         # Q(zeta_77) has degree 60: past _ROWS_MAX_PHI, so convolutions
         ([(E(7, 1), 0), (E(11, 3), 1)], 2),
+        # rational columns scaling there: a zeta = 1 line stored at order 77,
+        # and a -1 line
+        ([(E(7, 2), 0), (E(77, 0), 1), (E(11, 5), 2)], 3),
+        ([(-1, 0), (E(11, 1), 1), (E(7, 3), 2)], 3),
         # more variables than lines, and lines on permuted variables
         ([(E(12, 5), 1)], 3),
         ([(E(12, 1), 2), (E(12, 7), 0), (E(5, 3), 3)], 4),
@@ -197,6 +201,58 @@ def test_todd_outer_product_matches_product_chain():
         assert todd.coeffs is todd.coeffs
         assert inv == inv_chain, model
         assert chain * inv == GradedSeries.one(r, d), model
+
+
+def test_shifted_outer_product_stays_an_outer_product():
+    rng = random.Random(0x5417)
+    lineless = 0
+    for model in itertools.chain(_oracle_models(), _mu12_models(0x5417, 30)):
+        r, d = model.num_vars, model.trunc_degree
+        euler = [0] * r
+        for zeta, j in model.lines:
+            if zeta == 1:
+                euler[j] = 1
+        seeded = [rng.randint(0, 2) for _ in range(r)]
+        free = sorted(set(range(r)) - {j for _, j in model.lines})
+        if free:
+            # a variable with no line takes the column x_j^e_j
+            seeded[free[0]] = max(seeded[free[0]], 1)
+            lineless += 1
+        plain = GradedSeries(r, d, invert_unit(todd_delocalized(model)).coeffs)
+        for exps in (euler, seeded):
+            if not any(exps):
+                continue
+            shifted = series._shift(invert_unit(todd_delocalized(model)), exps)
+            assert shifted.factors is not None and shifted._ints is None, model
+            assert shifted == series._shift(plain, exps), (model, exps)
+            with pytest.raises(ValueError, match="^not a unit: zero constant term$"):
+                invert_unit(shifted)
+    assert lineless >= 20
+
+
+def test_todd_side_dense_product_counts(monkeypatch):
+    """Scalar multiplications of the matrix products in one identity check:
+    rational entries scale, and the Euler monomial cuts the walk.  Lines
+    (1, 5, 7, 11) are all irrational, so they keep every product."""
+    counts = {}
+    for combo, want in (
+        ((0, 6, 1, 5), 448),
+        ((0, 0, 3, 4), 448),
+        ((3, 4, 6, 9), 1792),
+        ((1, 5, 7, 11), 5152),
+    ):
+        model = NormalModel([(E(12, k), j) for j, k in enumerate(combo)], 6)
+        calls = [0]
+
+        def counting(a, b):
+            calls[0] += 1
+            return a * b
+
+        monkeypatch.setattr(series, "mul", counting)
+        assert zero_section_identity(model).passed
+        monkeypatch.undo()
+        counts[combo] = (calls[0], want)
+    assert all(got == want for got, want in counts.values()), counts
 
 
 def test_invert_recorded_factors_with_zero_constant():
