@@ -160,27 +160,27 @@ def inertia_data(chart: LinearChart) -> list:
 
     For each class representative g: the fixed basis of V^g, the
     centralizer Z_G(g) (checked to preserve V^g), and the eigen-data
-    of the normal directions (every eigenvalue != 1).
+    of the normal directions (every eigenvalue != 1).  V^g is the
+    eigenvalue-1 entry of the one eigen-decomposition of g.
     """
     cd = chart.group.conjugacy()
+    one = Cyclotomic.one()
     out = []
     for c, g in enumerate(cd.reps):
-        fixed = fixed_subspace(chart, g)
-        for z in cd.centralizers[c]:
-            _check_preserved(
-                fixed, chart.action.mats[z], "centralizer element %d" % z
-            )
         eig = eigen_decomposition(chart, g)
-        one = Cyclotomic.one()
+        fixed = Matrix.zero(chart.dim, 0)
         normal_entries = []
         normal_bases = []
         for (zeta, m), basis in zip(eig.entries, eig.bases):
             if zeta == one:
-                continue
-            normal_entries.append((zeta, m))
-            normal_bases.append(basis)
+                fixed = basis
+            else:
+                normal_entries.append((zeta, m))
+                normal_bases.append(basis)
+        for z in cd.centralizers[c]:
+            _check_preserved(
+                fixed, chart.action.mats[z], "centralizer element %d" % z
+            )
         normal = EigenData(normal_entries, normal_bases)
-        if fixed.ncols + normal.total() != chart.dim:
-            raise ArithmeticError("fixed and normal dimensions do not fill V")
         out.append(InertiaComponent(chart, c, g, cd.centralizers[c], fixed, normal))
     return out

@@ -391,6 +391,8 @@ def _load_complex(sc, body, ptr):
     body = _want(body, dict, ptr, "an object")
     group = _ref(sc.groups, body, "group", ptr)
     pieces_json = _want(body.get("pieces"), list, ptr + "/pieces", "a list")
+    if not pieces_json:
+        raise LoadError("a complex needs at least one piece", ptr + "/pieces")
     pieces = [
         _lookup(sc.representations, pname, "%s/pieces/%d" % (ptr, i))
         for i, pname in enumerate(pieces_json)
@@ -441,6 +443,8 @@ def _load_action(sc, body, ptr):
             )
         return group, len(order[0]), [list(p) for p in order]
     points = _want_int(body.get("points"), ptr + "/points")
+    if points < 0:
+        raise LoadError("points must be nonnegative", ptr + "/points")
     images = _want(body.get("images"), list, ptr + "/images", "a list")
     if len(images) != group.size:
         raise LoadError("need one image row per group element", ptr + "/images")

@@ -17,7 +17,7 @@ import itertools
 import random
 
 from .exactnum import Cyclotomic
-from .linalg import Matrix, block
+from .linalg import Matrix, block, kernel_of_rref
 from .reps import (
     Representation,
     VirtualCharacter,
@@ -148,23 +148,18 @@ def cohomology(c) -> list:
     """
     cd = c.group.conjugacy()
     out = []
+    image = Matrix.zero(c.piece(c.min_degree).dim, 0)
     for k in c.degrees():
-        dim = c.piece(k).dim
         dk = c.differential(k)
-        if dk.nrows == 0:
-            kernel = Matrix.identity(dim)
-        else:
-            kernel = dk.kernel()
-        dprev = c.differential(k - 1)
-        if dprev.ncols == 0:
-            image = Matrix.zero(dim, 0)
-        else:
-            image = dprev.column_space()
+        red, pivots = dk.rref()
+        kernel = kernel_of_rref(red, pivots)
         values = []
         for g in cd.reps:
             act = c.piece(k).mats[g]
             values.append(_action_trace(kernel, act) - _action_trace(image, act))
         out.append(VirtualCharacter(c.group, values))
+        # the one reduction of d_k also gives the image at degree k + 1
+        image = dk.submatrix(range(dk.nrows), pivots)
     return out
 
 

@@ -11,10 +11,11 @@ exponents modulo n, rewrite through Phi_n), `_conv` (the one
 convolution, with `_mul_rows` its matrix form for a repeated factor),
 `_galois` (zeta_n -> zeta_n^k on a numerator), `_lift_num`
 (zeta_n -> zeta_m^(m/n) on a numerator) and `_make` (one gcd to lowest
-terms), which `series` uses as well.  The inverse is a norm: num times
-the product of its other Galois conjugates is an integer.  Fraction
-arithmetic is left only in `descend`'s linear solve and at the input
-boundary; Fraction coordinates are built only on request (`coeffs`).
+terms), which `series` uses as well; and `_gauss_jordan`, the one exact
+elimination and its pivot rule, which every `linalg.Matrix` reduction and
+`descend` run through.  The inverse is a norm: num times the product of
+its other Galois conjugates is an integer.  Fraction is left only at the
+input boundary and in the coordinates built on request (`coeffs`).
 Binary operations on operands of different orders lift both to the least
 common order via zeta_m -> zeta_M^(M/m); results keep that common order
 and are never descended automatically.  The scalar fast paths keep that
@@ -33,10 +34,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 Rational = Fraction
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -207,40 +204,46 @@ def canonicalize(order: int, coeffs) -> tuple:
     return tuple(Fraction(x, den) for x in num)
 
 
-def _solve_rational(cols, target):
-    """Solve sum_j x_j cols[j] = target over Q; None if inconsistent."""
-    m = len(target)
-    n = len(cols)
-    aug = [[cols[j][i] for j in range(n)] + [target[i]] for i in range(m)]
+def _gauss_jordan(rows, ncols):
+    """Reduce rows, a list of lists of Cyclotomic values, to RREF in place.
+
+    The pivot rule: the first nonzero entry (smallest row index) in the
+    leftmost unfinished column, so the reduced form and its pivots are
+    canonical for a given input.  Returns (pivot columns, pivot values as
+    met, row-swap count): a square matrix of full rank has determinant
+    (-1)^swaps times the product of the pivot values.
+    """
+    nrows = len(rows)
     pivots = []
+    values = []
+    swaps = 0
     pr = 0
-    for col in range(n):
-        pivot = None
-        for r in range(pr, m):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[pr], aug[pivot] = aug[pivot], aug[pr]
-        inv = _F1 / aug[pr][col]
-        aug[pr] = [e * inv for e in aug[pr]]
-        for r in range(m):
-            if r != pr and aug[r][col]:
-                f = aug[r][col]
-                prow = aug[pr]
-                aug[r] = [a - f * b for a, b in zip(aug[r], prow)]
-        pivots.append(col)
-        pr += 1
-        if pr == m:
+    for col in range(ncols):
+        if pr == nrows:
             break
-    for r in range(pr, m):
-        if aug[r][n]:
-            return None
-    sol = [_F0] * n
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
-    return sol
+        # zero tests read the numerators: cheaper than a call to __bool__
+        for r in range(pr, nrows):
+            if any(rows[r][col].num):
+                break
+        else:
+            continue
+        if r != pr:
+            rows[pr], rows[r] = rows[r], rows[pr]
+            swaps += 1
+        p = rows[pr][col]
+        inv = p.inverse()
+        prow = rows[pr] = [e * inv for e in rows[pr]]
+        live = [j for j, e in enumerate(prow) if any(e.num)]
+        for r in range(nrows):
+            row = rows[r]
+            f = row[col]
+            if r != pr and any(f.num):
+                for j in live:
+                    row[j] = row[j] - f * prow[j]
+        pivots.append(col)
+        values.append(p)
+        pr += 1
+    return pivots, values, swaps
 
 
 class Cyclotomic:
@@ -418,7 +421,7 @@ class Cyclotomic:
         return self.num == other.num and self.den == other.den
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def descend(self) -> "Cyclotomic":
         """An equal element at the smallest order dividing this one."""
@@ -437,16 +440,20 @@ class Cyclotomic:
         return out
 
     def _at_order(self, d):
-        step = self.order // d
-        cols = []
-        for k in range(euler_phi(d)):
-            raw = [0] * (k * step + 1)
-            raw[k * step] = 1
-            cols.append(_reduce(self.order, raw))
-        sol = _solve_rational(cols, self.num)
-        if sol is None:
+        """This value as an element of Q(zeta_d), d dividing the order; None if not there."""
+        n, phi = self.order, euler_phi(d)
+        cols = [_lift_num(d, n, [int(i == k) for i in range(phi)]) for k in range(phi)]
+        rows = [
+            [_make(1, (c[i],), 1) for c in cols] + [_make(1, (x,), 1)]
+            for i, x in enumerate(self.num)
+        ]
+        pivots = _gauss_jordan(rows, phi + 1)[0]
+        if pivots[-1] == phi:
             return None
-        num, den = _from_coeffs(d, sol)
+        # the lift is injective, so every coordinate is a pivot
+        sol = [row[phi] for row in rows[:phi]]
+        den = math.lcm(*(v.den for v in sol))
+        num = [v.num[0] * (den // v.den) for v in sol]
         return _make(d, num, den * self.den)
 
     def __hash__(self):

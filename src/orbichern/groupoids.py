@@ -864,41 +864,28 @@ class GeneralizedMorphism:
 class PullbackComparison:
     """The two pulled-back groupoids over a carrier and the map between them.
 
-    ``gt`` and ``ht`` are the arrow lists ``(z1, arrow, z2)`` (from
-    ``z2`` to ``z1``) of the source and target groupoids pulled back
-    along the anchors; ``phi`` sends a ``gt`` triple to the unique
-    ``ht`` triple with ``arrow . z2 == z1 . image``.
-
-    The classification flags are computed in aggregate at construction:
-    ``phi`` preserves the carrier pair ``(z1, z2)``, and within a pair
-    its arrow component is determined by ``arrow . z2`` (the right
-    action is a function, so distinct comparison arrows at ``z1``
-    land on distinct carrier points).  Injectivity therefore reduces to
-    injectivity of ``arrow |-> arrow . z2`` per carrier point, and the
-    triple counts and the saturation condition depend only on
-    anchor-fibre multiplicities.  The triple lists grow quadratically
-    in the carrier, so ``gt``, ``ht`` and ``phi`` are materialized only
-    on first access.
+    The pulled-back groupoids have the arrows ``(z1, arrow, z2)`` (from
+    ``z2`` to ``z1``) of the source and target groupoids along the
+    anchors, ``gt_count`` and ``ht_count`` of them; the comparison sends
+    a source triple to the unique target triple with
+    ``arrow . z2 == z1 . image``.  The triple lists grow quadratically
+    in the carrier, so only the classification is kept, computed in
+    aggregate: the comparison preserves the carrier pair ``(z1, z2)``,
+    and within a pair its arrow component is determined by
+    ``arrow . z2`` (the right action is a function, so distinct
+    comparison arrows at ``z1`` land on distinct carrier points).
+    Injectivity therefore reduces to injectivity of
+    ``arrow |-> arrow . z2`` per carrier point, and the triple counts
+    and the saturation condition depend only on anchor-fibre
+    multiplicities.  The bibundle must be validated.
     """
 
-    __slots__ = (
-        "morphism",
-        "_gt_count",
-        "_ht_count",
-        "_injective",
-        "_saturated",
-        "_gt",
-        "_ht",
-        "_phi",
-    )
+    __slots__ = ("morphism", "gt_count", "ht_count", "_injective", "_saturated")
 
     def __init__(self, morphism):
         self.morphism = morphism
         f = morphism
         g, h = f.src, f.dst
-        self._gt = None
-        self._ht = None
-        self._phi = None
         anchors = list(Counter(zip(f.rho.tolist(), f.sigma.tolist())).items())
         g_between = Counter(zip(g.source.tolist(), g.target.tolist()))
         h_between = Counter(zip(h.source.tolist(), h.target.tolist()))
@@ -913,80 +900,11 @@ class PullbackComparison:
                 ht_count += c1 * c2 * hb
                 if hb and not ga:
                     saturated = False
-        self._gt_count = gt_count
-        self._ht_count = ht_count
+        self.gt_count = gt_count
+        self.ht_count = ht_count
         self._saturated = saturated
-
-        # each left move a . z2 must stay in the one right orbit over its
-        # target object, and be injective in a for fixed z2
-        rows, w = f.left.rows, f.left.flat
-        orbit = _orbits(f.right)
-        per_object = np.bincount(
-            np.unique(f.rho * f.size + orbit) // max(f.size, 1), minlength=g.num_objects
-        )
-        object_orbit = np.full(g.num_objects, -1, dtype=np.int64)
-        object_orbit[f.rho] = orbit
-        y = g.target[rows.col]
-        live = per_object[y] > 0
-        y, w, z2 = y[live], w[live], rows.row[live]
-        connected = bool(((per_object[y] == 1) & (orbit[w] == object_orbit[y])).all())
+        z2, w = f.left.rows.row, f.left.flat
         self._injective = len(np.unique(z2 * f.size + w)) == len(w)
-        if not connected:
-            # some comparison arrow is missing; the exhaustive pass
-            # raises the error naming the offending triple
-            self._materialize()
-
-    def _materialize(self):
-        f = self.morphism
-        g, h = f.src, f.dst
-        rho, sigma = f.rho.tolist(), f.sigma.tolist()
-        g_source, h_source = g.source.tolist(), h.source.tolist()
-        gt = [
-            (z1, a, z2)
-            for z1 in range(f.size)
-            for a in g.arrows_into(rho[z1])
-            for z2 in range(f.size)
-            if rho[z2] == g_source[a]
-        ]
-        ht = [
-            (z1, b, z2)
-            for z1 in range(f.size)
-            for b in h.arrows_into(sigma[z1])
-            for z2 in range(f.size)
-            if sigma[z2] == h_source[b]
-        ]
-        phi = {}
-        for z1, a, z2 in gt:
-            w = f.left[(a, z2)]
-            image = None
-            for b in h.arrows_between(sigma[w], sigma[z1]):
-                if f.right[(z1, b)] == w:
-                    image = b
-                    break
-            if image is None:
-                raise ValueError("no comparison arrow for (%d, %d, %d)" % (z1, a, z2))
-            phi[(z1, a, z2)] = (z1, image, z2)
-        self._gt = gt
-        self._ht = ht
-        self._phi = phi
-
-    @property
-    def gt(self):
-        if self._gt is None:
-            self._materialize()
-        return self._gt
-
-    @property
-    def ht(self):
-        if self._ht is None:
-            self._materialize()
-        return self._ht
-
-    @property
-    def phi(self):
-        if self._phi is None:
-            self._materialize()
-        return self._phi
 
     def is_injective(self):
         return self._injective
@@ -995,7 +913,7 @@ class PullbackComparison:
         return self._saturated
 
     def is_bijective(self):
-        return self._injective and self._gt_count == self._ht_count
+        return self._injective and self.gt_count == self.ht_count
 
 
 class EmbeddingFlags:
@@ -1017,6 +935,8 @@ class EmbeddingFlags:
 
 def classify_embedding(morphism):
     """Decide embedding / iso-spatial / stabilizer-preserving for a bibundle."""
+    if not morphism.validated:
+        morphism.validate()
     comparison = PullbackComparison(morphism)
     embedding = comparison.is_injective() and comparison.is_saturated()
     iso_spatial = embedding and len(np.unique(morphism.sigma)) == morphism.dst.num_objects

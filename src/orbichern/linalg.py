@@ -1,16 +1,14 @@
 """Dense exact linear algebra over cyclotomic scalars.
 
-Everything is deterministic: row reduction always takes the first
-nonzero entry (smallest row index) in the leftmost unfinished column
-as the next pivot, so bases of kernels and column spaces are canonical
-for a given input matrix.
+Everything is deterministic: every row reduction runs through
+`exactnum._gauss_jordan`, which holds the pivot rule (the first nonzero
+entry, smallest row index, in the leftmost unfinished column), so bases
+of kernels and column spaces are canonical for a given input matrix.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactnum import Cyclotomic, _coerce
+from .exactnum import Cyclotomic, _coerce, _gauss_jordan
 
 
 def cyc(x) -> Cyclotomic:
@@ -179,52 +177,15 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form and the pivot column indices."""
         rows = [list(r) for r in self.rows]
-        pivots = []
-        pr = 0
-        for col in range(self.ncols):
-            pivot = None
-            for r in range(pr, self.nrows):
-                if not rows[r][col].is_zero():
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            rows[pr], rows[pivot] = rows[pivot], rows[pr]
-            inv = rows[pr][col].inverse()
-            rows[pr] = [e * inv for e in rows[pr]]
-            prow = rows[pr]
-            for r in range(self.nrows):
-                if r != pr and not rows[r][col].is_zero():
-                    f = rows[r][col]
-                    row = rows[r]
-                    for j in range(self.ncols):
-                        if not prow[j].is_zero():
-                            row[j] = row[j] - f * prow[j]
-            pivots.append(col)
-            pr += 1
-            if pr == self.nrows:
-                break
-        return Matrix(tuple(tuple(r) for r in rows), ncols=self.ncols), tuple(pivots)
+        pivots = _gauss_jordan(rows, self.ncols)[0]
+        return Matrix(tuple(map(tuple, rows)), ncols=self.ncols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel(self) -> "Matrix":
         """Matrix whose columns span the kernel (canonical basis)."""
-        red, pivots = self.rref()
-        pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
-        cols = []
-        for f in free:
-            v = [_C0] * self.ncols
-            v[f] = _C1
-            for i, p in enumerate(pivots):
-                v[p] = -red.rows[i][f]
-            cols.append(v)
-        return Matrix(
-            tuple(tuple(c[i] for c in cols) for i in range(self.ncols)),
-            ncols=len(cols),
-        )
+        return kernel_of_rref(*self.rref())
 
     def column_space(self) -> "Matrix":
         """The pivot columns of the original matrix (canonical basis)."""
@@ -249,37 +210,16 @@ class Matrix:
         return Matrix(tuple(tuple(r) for r in xrows), ncols=rhs.ncols)
 
     def det(self) -> Cyclotomic:
+        """(-1)^swaps times the product of the pivots; 0 below full rank."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return _C1
-        rows = [list(r) for r in self.rows]
-        sign = 1
+        pivots, values, swaps = _gauss_jordan([list(r) for r in self.rows], self.ncols)
+        if len(pivots) < self.nrows:
+            return _C0
         acc = _C1
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if not rows[r][col].is_zero():
-                    pivot = r
-                    break
-            if pivot is None:
-                return _C0
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                sign = -sign
-            pv = rows[col][col]
-            acc = acc * pv
-            inv = pv.inverse()
-            for r in range(col + 1, n):
-                if not rows[r][col].is_zero():
-                    f = rows[r][col] * inv
-                    row = rows[r]
-                    prow = rows[col]
-                    for j in range(col, n):
-                        if not prow[j].is_zero():
-                            row[j] = row[j] - f * prow[j]
-        return acc if sign == 1 else -acc
+        for p in values:
+            acc = acc * p
+        return -acc if swaps % 2 else acc
 
     def minor(self, rows, cols) -> Cyclotomic:
         return self.submatrix(rows, cols).det()
@@ -292,6 +232,22 @@ class Matrix:
         return "[" + "; ".join(", ".join(str(e) for e in r) for r in self.rows) + "]"
 
     __repr__ = __str__
+
+
+def kernel_of_rref(red, pivots) -> Matrix:
+    """The canonical kernel basis read off a reduced form and its pivots."""
+    n = red.ncols
+    pivset = set(pivots)
+    cols = []
+    for f in range(n):
+        if f in pivset:
+            continue
+        v = [_C0] * n
+        v[f] = _C1
+        for i, p in enumerate(pivots):
+            v[p] = -red.rows[i][f]
+        cols.append(v)
+    return Matrix(tuple(tuple(c[i] for c in cols) for i in range(n)), ncols=len(cols))
 
 
 def block(grid, row_dims, col_dims) -> Matrix:

@@ -168,7 +168,13 @@ def _quotient_representation(ambient, inclusion, sub):
             "inclusion matrix has the wrong shape: %s, expected %s (ambient dim, sub dim)"
             % (inclusion.shape(), (wd, vd))
         )
-    rank = inclusion.rank()
+    # one reduction of [inclusion | I]: its pivots below vd are the
+    # inclusion's, then each unit vector outside the span of the columns
+    # before it, the greedy completion to a basis
+    eye = Matrix.identity(wd)
+    both = inclusion.hstack(eye)
+    pivots = both.rref()[1]
+    rank = sum(1 for p in pivots if p < vd)
     if rank != vd:
         raise ValueError(
             "inclusion is not injective: rank %d, sub dim %d" % (rank, vd)
@@ -178,10 +184,7 @@ def _quotient_representation(ambient, inclusion, sub):
             raise ValueError("inclusion is not equivariant at element %d" % g)
     if vd == wd:
         return Representation.zero_dimensional(ambient.group)
-    # the pivot columns are the inclusion's, then each unit vector outside
-    # the span of the columns before it: the greedy completion to a basis
-    eye = Matrix.identity(wd)
-    b = inclusion.hstack(eye).column_space()
+    b = both.submatrix(range(wd), pivots)
     binv = b.solve(eye)
     mats = []
     for g in range(ambient.group.size):

@@ -141,3 +141,16 @@ def test_eigendata_helpers():
     assert d.multiplicity_of(E(4, 1)) == 2
     assert d.multiplicity_of(Cyclotomic.one()) == 0
     assert d.total() == 3
+
+
+def test_inertia_fixed_basis_is_the_fixed_subspace():
+    # the charts of acceptance 9: V^g comes from the eigenvalue-1 kernel of
+    # the one eigen-decomposition, and must equal ker(rho(g) - 1) itself
+    rng = random.Random(0xACC9)
+    for name, group in corpus_groups().items():
+        chart = LinearChart(group, random_rep(rng, group, max_dim=4))
+        random_rep(rng, group, max_dim=4)  # the bundle acceptance 9 draws next
+        for comp in inertia_data(chart):
+            fixed = fixed_subspace(chart, comp.element)
+            assert comp.fixed_dim == fixed.ncols, (name, comp.class_index)
+            assert comp.fixed_basis == fixed, (name, comp.class_index)

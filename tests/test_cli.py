@@ -334,6 +334,26 @@ def test_load_caps_group_order_before_building(tmp_path, capsys):
     assert parse_scenario({"groups": {"G": {"cyclic": 48}}}).groups["G"].size == 48
 
 
+@pytest.mark.parametrize(
+    "section,message,pointer",
+    [
+        ({"complexes": {"K": {"group": "C2", "pieces": []}}},
+         "a complex needs at least one piece", "/complexes/K/pieces"),
+        ({"actions": {"A": {"group": "C2", "points": -1, "images": [[], []]}}},
+         "points must be nonnegative", "/actions/A/points"),
+    ],
+    ids=["empty_complex", "negative_points"],
+)
+def test_load_rejects_empty_shapes_at_their_field(tmp_path, capsys, section, message, pointer):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"groups": {"C2": {"cyclic": 2}}, **section}))
+    code = main(["inertia", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "load error: %s (at %s)\n" % (message, pointer)
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     import os
     import subprocess

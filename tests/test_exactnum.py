@@ -92,6 +92,30 @@ def test_descend_finds_conductor():
     assert E(6) == 1 + E(3)
 
 
+@pytest.mark.parametrize("d,n", [(1, 30), (3, 12), (4, 12), (5, 60), (15, 60), (20, 60)])
+def test_descend_recovers_the_conductor_of_a_lifted_value(d, n):
+    rng = random.Random(d * 1000 + n)
+    divs = [e for e in range(1, n + 1) if n % e == 0]
+    for _ in range(6):
+        coeffs = [
+            Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+            for _ in range(euler_phi(d))
+        ]
+        value = Cyclotomic(d, coeffs)
+        assert oracle.Cyclotomic(d, coeffs).descend().order == d
+        lifted = value.lift(n)
+        assert lifted.order == n
+        low = lifted.descend()
+        assert low.order == d and low == value
+        assert _same(low, oracle.Cyclotomic(d, coeffs).lift(n).descend())
+        for e in divs:
+            at = lifted._at_order(e)
+            if e % d:
+                assert at is None, e
+            else:
+                assert at.order == e and at == value, e
+
+
 def test_canonicalize_folds_high_exponents():
     assert canonicalize(5, [0, 0, 0, 0, 0, 1]) == canonicalize(5, [1])
     assert canonicalize(5, [0, 0, 0, 0, 0, 0, 1]) == canonicalize(5, [0, 1])

@@ -90,8 +90,8 @@ def test_subgroup_point_inclusion_flags(c2_in_s3):
 def test_pullback_comparison_counts(c2_in_s3):
     _, _, _, f = c2_in_s3
     comparison = classify_embedding(f).comparison
-    assert len(comparison.gt) == 6 * 2 * 6
-    assert len(comparison.ht) == 6 * 6 * 6
+    assert comparison.gt_count == 6 * 2 * 6
+    assert comparison.ht_count == 6 * 6 * 6
     assert comparison.is_injective()
     assert comparison.is_saturated()
     assert not comparison.is_bijective()
@@ -105,6 +105,24 @@ def trivial_pair():
     arr = [gg * 4 + x for gg in range(2) for x in range(2)]
     functor = StrictFunctor(g, h, [0, 1], arr)
     return g, h, GeneralizedMorphism.from_functor(functor)
+
+
+def test_classify_validates_an_unflagged_bibundle():
+    _, _, f = trivial_pair()
+    broken = GeneralizedMorphism(
+        f.src,
+        f.dst,
+        f.rho,
+        f.sigma,
+        lambda a, z: (f.left.at(a, z) + 1) % f.size,
+        f.right.at,
+        check=False,
+    )
+    with pytest.raises(ValueError) as want:
+        broken.validate()
+    assert "left action breaks anchors" in str(want.value)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(str(want.value))):
+        classify_embedding(broken)
 
 
 def test_inclusion_of_invariant_points_not_iso_spatial():

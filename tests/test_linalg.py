@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -71,6 +72,56 @@ def test_det_multiplicative_random():
         a = rand_matrix(rng, 3, 3)
         b = rand_matrix(rng, 3, 3)
         assert (a * b).det() == a.det() * b.det()
+
+
+def leibniz_det(m):
+    """The permutation expansion: sum of sign(p) * prod m[i, p(i)]."""
+    n = m.nrows
+    total = Cyclotomic.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+        )
+        term = Cyclotomic.one()
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+def rand_cyclotomic_matrix(rng, n, order):
+    return Matrix.from_rows(
+        [
+            [
+                Cyclotomic(order, [rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)])
+                                   for _ in range(order)])
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+    )
+
+
+def test_det_matches_leibniz_over_cyclotomic_fields():
+    rng = random.Random(0xDE7)
+    for order in (5, 8, 12):
+        for n in (3, 4):
+            for _ in range(4):
+                m = rand_cyclotomic_matrix(rng, n, order)
+                cases = [m]
+                # the first pivot needs a row swap
+                swapped = [list(r) for r in m.rows]
+                swapped[0][0] = Cyclotomic.zero()
+                if not swapped[1][0]:
+                    swapped[1][0] = Cyclotomic.one()
+                cases.append(Matrix.from_rows(swapped))
+                # singular: a repeated row
+                repeated = [list(r) for r in m.rows]
+                repeated[n - 1] = list(repeated[0])
+                cases.append(Matrix.from_rows(repeated))
+                for case in cases:
+                    assert case.det() == leibniz_det(case), (order, n, str(case))
+                assert Matrix.from_rows(repeated).det() == 0
 
 
 def test_kron_mixed_product():

@@ -448,6 +448,17 @@ def test_zero_section_rejects_trunc_below_normal_rank():
     ).passed
 
 
+def test_quotient_rejects_a_rank_deficient_inclusion():
+    c2 = FiniteGroup.cyclic(2)
+    triv = Representation.trivial(c2)
+    sub = direct_sum(triv, triv)
+    ambient = direct_sum(sub, triv)
+    inclusion = Matrix.from_rows([[1, 2], [0, 0], [1, 2]])
+    with pytest.raises(ValueError) as err:
+        rrg._quotient_representation(ambient, inclusion, sub)
+    assert str(err.value) == "inclusion is not injective: rank 1, sub dim 2"
+
+
 def _greedy_normal_mats(ambient, inclusion):
     """The normal matrices, the basis completed by trial: one rank per unit vector."""
     wd, vd = inclusion.shape()
