@@ -59,6 +59,9 @@ DEFAULT_TRUNC = 4
 MAX_SCENARIO_ORDER = 48
 # cap on the monomials of one truncated series, C(vars + trunc, trunc)
 MAX_MONOMIALS = 256
+# caps on one expression: the digits of an integer, the depth of parentheses
+MAX_DIGITS = 1000
+MAX_NESTING = 100
 
 # formula knobs: the allowed values, the default first
 _KNOBS = {
@@ -85,11 +88,12 @@ class CycParseError(ValueError):
 
 
 class _Scanner:
-    __slots__ = ("text", "pos")
+    __slots__ = ("text", "pos", "depth")
 
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -111,6 +115,8 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise CycParseError("expected an integer", start)
+        if self.pos - start > MAX_DIGITS:
+            raise CycParseError("integer longer than %d digits" % MAX_DIGITS, start)
         return int(self.text[start : self.pos]), start
 
     def expr(self):
@@ -141,9 +147,13 @@ class _Scanner:
         ch = self.peek()
         start = self.pos
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise CycParseError("parentheses nested deeper than %d" % MAX_NESTING, start)
             self.pos += 1
+            self.depth += 1
             inner = self.expr()
             self.take(")")
+            self.depth -= 1
             return inner
         if ch == "E":
             self.pos += 1
@@ -682,6 +692,8 @@ def load_scenario(path) -> Scenario:
             raise LoadError("not UTF-8 text: %s" % exc, "")
         except RecursionError:
             raise LoadError("invalid JSON: nested too deeply", "")
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            raise LoadError("invalid JSON: %s" % exc, "")
     return parse_scenario(data)
 
 
@@ -820,27 +832,24 @@ def _groupoid_items_for_action(action):
     return items
 
 
+def _verdict(check, ok):
+    return {"check": check, "status": "pass" if ok else "fail"}
+
+
+def _skipped(check, reason):
+    return {"check": check, "status": "skipped", "detail": reason}
+
+
 def _groupoid_items_for_embedding(emb):
-    items = []
     src = FiniteGroupoid.from_group(emb.source)
     dst = FiniteGroupoid.from_group(emb.target)
     functor = StrictFunctor(src, dst, [0], list(emb.mapping))
     morphism = GeneralizedMorphism.from_functor(functor)
     flags = classify_embedding(morphism)
-    items.append(
-        {
-            "check": "bibundle-axioms",
-            "status": "pass",
-            "detail": "carrier size %d" % morphism.size,
-        }
-    )
-    graph_flags = classify_embedding(morphism.graph())
-    items.append(
-        {
-            "check": "graph-embedding",
-            "status": "pass" if graph_flags.embedding else "fail",
-        }
-    )
+    items = [
+        {"check": "bibundle-axioms", "status": "pass", "detail": "carrier size %d" % morphism.size},
+        _verdict("graph-embedding", classify_embedding(morphism.graph()).embedding),
+    ]
     if flags.embedding:
         first, second = factorize(morphism)
         ok = (
@@ -848,33 +857,14 @@ def _groupoid_items_for_embedding(emb):
             and classify_embedding(second).stabilizer_preserving
             and find_isomorphism(first.compose(second), morphism) is not None
         )
-        items.append(
-            {"check": "factorize-round-trip", "status": "pass" if ok else "fail"}
-        )
+        items.append(_verdict("factorize-round-trip", ok))
     else:
-        items.append(
-            {
-                "check": "factorize-round-trip",
-                "status": "skipped",
-                "detail": "not an embedding",
-            }
-        )
+        items.append(_skipped("factorize-round-trip", "not an embedding"))
     if flags.stabilizer_preserving:
         inherited = classify_embedding(inertia_of_morphism(morphism))
-        items.append(
-            {
-                "check": "inertia-stabilizers",
-                "status": "pass" if inherited.stabilizer_preserving else "fail",
-            }
-        )
+        items.append(_verdict("inertia-stabilizers", inherited.stabilizer_preserving))
     else:
-        items.append(
-            {
-                "check": "inertia-stabilizers",
-                "status": "skipped",
-                "detail": "not stabilizer preserving",
-            }
-        )
+        items.append(_skipped("inertia-stabilizers", "not stabilizer preserving"))
     return items
 
 

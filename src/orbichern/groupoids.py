@@ -4,16 +4,18 @@ Objects and arrows are integer indices, and every table is a flat NumPy
 integer array: ``source``, ``target`` and ``inverses`` per arrow,
 ``units`` per object.  Composition ``a o b`` (apply ``b`` first) is
 defined exactly when ``source(a) == target(b)`` and has one slot per
-composable pair, in compressed rows: row ``b`` lists
-``arrows_from(target(b))`` in index order, so ``a o b`` sits at
+composable pair, in compressed rows: row ``b`` lists the arrows out of
+``target(b)`` in index order, so ``a o b`` sits at
 ``row_start[b] + pos_out[a]``, where ``pos_out[a]`` is the place of ``a``
-in ``arrows_from(source(a))``.  Storage is the number of composable
-pairs, never a dense square table.  The left and right actions of a
-bibundle use the same layout with one row per carrier point.  ``comp``,
-``left`` and ``right`` are read-only mappings keyed by pairs
-(``comp[(a, b)]``, ``left[(g, z)]``, ``right[(z, h)]``); the
+among the arrows out of ``source(a)``.  Storage is the number of
+composable pairs, never a dense square table.  The left and right
+actions of a bibundle use the same layout with one row per carrier
+point.  ``comp``, ``left`` and ``right`` are read-only mappings keyed by
+pairs (``comp[(a, b)]``, ``left[(g, z)]``, ``right[(z, h)]``); the
 constructors accept any such mapping, a dict included, and convert it
-once, and the internal constructors fill the rows by index arithmetic.
+once; the internal constructors give a rule that fills the rows by
+index arithmetic, run on the table's first read and bound to its inputs'
+tables when made, so a table that nothing reads is never built.
 
 Morphisms between groupoids are generalized morphisms: a finite set
 carrying commuting left/right actions whose right quotient recovers the
@@ -227,19 +229,25 @@ class _Rows:
 
     Row ``r`` lists the members of fan group ``keys[r]`` in index order;
     member ``c`` of row ``r`` has slot ``start[r] + pos[c]``, and ``row``
-    and ``col`` give each slot's row and member.
+    and ``col`` give each slot's row and member, built on first read.
     """
 
-    __slots__ = ("start", "row", "col", "pos")
+    __slots__ = ("start", "pos", "row", "col", "_order", "_first")
 
     def __init__(self, keys, fan):
-        fstart, order, self.pos = fan
-        first = fstart[keys]
-        lens = fstart[keys + 1] - first
-        self.row, offset = _spread(lens)
-        self.col = order[first[self.row] + offset]
+        fstart, self._order, self.pos = fan
+        self._first = fstart[keys]
         self.start = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.cumsum(lens, out=self.start[1:])
+        np.cumsum(fstart[keys + 1] - self._first, out=self.start[1:])
+
+    def __getattr__(self, name):
+        # only unset slots get here: ``row`` and ``col`` before first read
+        if name not in ("row", "col"):
+            raise AttributeError(name)
+        row, offset = _spread(self.start[1:] - self.start[:-1])
+        self.col = self._order[self._first[row] + offset]
+        self.row = row
+        return getattr(self, name)
 
     def slot(self, r, c):
         return self.start[r] + self.pos[c]
@@ -250,25 +258,43 @@ class _Table(Mapping):
 
     Keys are ``(col, row)`` pairs, or ``(row, col)`` when ``row_first``.
     ``flat`` holds each slot's value, -1 where a converted mapping had no
-    entry, and ``extra`` counts the keys of that mapping that are not slots.
+    entry; ``extra`` counts the keys of that mapping that are not slots,
+    and ``stray`` is the least of them.  A table given by a rule is
+    materialized on the first read of ``flat``.
     """
 
-    __slots__ = ("rows", "flat", "extra", "row_first")
+    __slots__ = ("rows", "flat", "extra", "stray", "row_first", "_rule")
 
     def __init__(self, rows, values, row_first):
-        self.rows = rows
-        self.row_first = row_first
-        keys = (rows.row, rows.col) if row_first else (rows.col, rows.row)
-        if isinstance(values, Mapping):
-            get = values.get
-            pairs = zip(keys[0].tolist(), keys[1].tolist())
-            self.flat = _frozen(np.fromiter(
-                (get(k, -1) for k in pairs), dtype=np.int64, count=len(rows.row)
-            ))
-            self.extra = len(values) - int(np.count_nonzero(self.flat >= 0))
-        else:
-            self.flat = _frozen(np.array(values(*keys), dtype=np.int64))
-            self.extra = 0
+        self.rows, self.row_first = rows, row_first
+        self.extra, self.stray = 0, None
+        if not isinstance(values, Mapping):
+            self._rule = values
+            return
+        pairs = list(zip(*(a.tolist() for a in self._keys())))
+        get = values.get
+        self.flat = _frozen(np.fromiter((get(k, -1) for k in pairs), np.int64, len(pairs)))
+        if len(values) > np.count_nonzero(self.flat >= 0):
+            slots = set(pairs)
+            strays = [k for k in values if k not in slots]
+            self.extra, self.stray = len(strays), min(strays, default=None)
+
+    def _keys(self):
+        rows = self.rows
+        return (rows.row, rows.col) if self.row_first else (rows.col, rows.row)
+
+    def __getattr__(self, name):
+        # only unset slots get here: ``flat`` of a rule before first read
+        if name != "flat":
+            raise AttributeError(name)
+        self.flat = _frozen(np.array(self._rule(*self._keys()), dtype=np.int64))
+        return self.flat
+
+    def check_keys(self, what):
+        """Raise naming the least key of a converted mapping that is not a slot."""
+        if self.extra:
+            raise ValueError("%s defined on %d non-composable pairs, the first %s"
+                             % (what, self.extra, self.stray))
 
     def at(self, x, y):
         """Vectorized lookup of the keys ``zip(x, y)``, all slots."""
@@ -354,40 +380,9 @@ class FiniteGroupoid:
             self.validate()
         self.validated = bool(check)
 
-    # -- structure access ------------------------------------------------
-
-    def mul(self, a, b):
-        """Composite ``a o b`` (first ``b``, then ``a``)."""
-        try:
-            return self.comp[(a, b)]
-        except KeyError:
-            raise ValueError("arrows %d and %d are not composable" % (a, b))
-
-    def inv(self, a):
-        return int(self.inverses[a])
-
-    def unit(self, x):
-        return int(self.units[x])
-
-    def arrows_from(self, x):
-        start, order, _ = self._out
-        return tuple(order[start[x]:start[x + 1]].tolist())
-
-    def arrows_into(self, x):
-        start, order, _ = self._in
-        return tuple(order[start[x]:start[x + 1]].tolist())
-
-    def arrows_between(self, x, y):
-        start, order, _ = self._out
-        out = order[start[x]:start[x + 1]]
-        return tuple(out[self.target[out] == y].tolist())
-
     def loop_arrows(self):
         """Arrows with equal source and target, in index order."""
         return tuple(np.flatnonzero(self.source == self.target).tolist())
-
-    def is_loop(self, a):
-        return bool(self.source[a] == self.target[a])
 
     # -- axioms ----------------------------------------------------------
 
@@ -406,9 +401,8 @@ class FiniteGroupoid:
         S, T, U, I = self.source, self.target, self.units, self.inverses
         comp = self.comp
         rows, C = comp.rows, comp.flat
+        comp.check_keys("composition")
         missing = C < 0
-        if comp.extra != np.count_nonzero(missing):
-            raise ValueError("composition is not defined exactly on composable pairs")
         ok = ~missing & (C < m)
         wrong = ~ok & ~missing
         wrong[ok] = (S[C[ok]] != S[rows.row[ok]]) | (T[C[ok]] != T[rows.col[ok]])
@@ -523,6 +517,7 @@ class FiniteGroupoid:
         nb, mb = b.num_objects, b.num_arrows
         if a.num_arrows * mb > MAX_ARROWS:
             raise ValueError("at most %d arrows are supported" % MAX_ARROWS)
+        a_at, b_at = a.comp.at, b.comp.at
 
         def pairs(x, y, k):
             return (x[:, None] * k + y[None, :]).ravel()
@@ -530,7 +525,7 @@ class FiniteGroupoid:
         def comp(p, q):
             p1, q1 = np.divmod(p, mb)
             p2, q2 = np.divmod(q, mb)
-            return a.comp.at(p1, p2) * mb + b.comp.at(q1, q2)
+            return a_at(p1, p2) * mb + b_at(q1, q2)
 
         prod = FiniteGroupoid(
             a.num_objects * nb,
@@ -557,11 +552,12 @@ class FiniteGroupoid:
         labels = None
         if self.arrow_labels is not None:
             labels = [self.arrow_labels[a] for a in arrs.tolist()]
+        comp_at = self.comp.at
         sub = FiniteGroupoid(
             len(objs),
             obj_index[self.source[arrs]],
             obj_index[self.target[arrs]],
-            lambda a, b: arr_index[self.comp.at(arrs[a], arrs[b])],
+            lambda a, b: arr_index[comp_at(arrs[a], arrs[b])],
             arr_index[self.units[objs]],
             arr_index[self.inverses[arrs]],
             object_labels=objs,
@@ -712,8 +708,7 @@ class GeneralizedMorphism:
             (broken, lambda s: "left action breaks anchors at (%d, %d)"
              % (rows.col[s], rows.row[s])),
         ])
-        if left.extra:
-            raise ValueError("left action defined on non-composable pairs")
+        left.check_keys("left action")
         missing, broken = self._faults(right, sigma, h.source, rho)
         _raise_first([
             (missing, lambda s: "right action undefined for arrow %d at %d"
@@ -721,8 +716,7 @@ class GeneralizedMorphism:
             (broken, lambda s: "right action breaks anchors at (%d, %d)"
              % (rrows.row[s], rrows.col[s])),
         ])
-        if right.extra:
-            raise ValueError("right action defined on non-composable pairs")
+        right.check_keys("right action")
 
         points = np.arange(size)
         _raise_first([
@@ -791,13 +785,14 @@ class GeneralizedMorphism:
         # carrier: the slots (x, b) with b into the image of x
         points = _Rows(_ints(functor.obj_map), h._in)
         x, b = points.row, points.col
+        g_target, h_at = g.target, h.comp.at
         comma = GeneralizedMorphism(
             g,
             h,
             x,
             h.source[b],
-            lambda a, z: points.slot(g.target[a], h.comp.at(arr[a], b[z])),
-            lambda z, b2: points.slot(x[z], h.comp.at(b[z], b2)),
+            lambda a, z: points.slot(g_target[a], h_at(arr[a], b[z])),
+            lambda z, b2: points.slot(x[z], h_at(b[z], b2)),
             labels=zip(x.tolist(), b.tolist()),
             check=False,
         )
@@ -823,13 +818,14 @@ class GeneralizedMorphism:
         images = pairs.slot(self.right.at(pz[p], b), other.left.at(h.inverses[b], pw[p]))
         reps, cls = np.unique(_min_reach(images, steps.start[:-1]), return_inverse=True)
         rz, rw = pz[reps], pw[reps]
+        left_at, right_at = self.left.at, other.right.at
         composite = GeneralizedMorphism(
             self.src,
             other.dst,
             self.rho[rz],
             other.sigma[rw],
-            lambda a, c: cls[pairs.slot(self.left.at(a, rz[c]), rw[c])],
-            lambda c, b2: cls[pairs.slot(rz[c], other.right.at(rw[c], b2))],
+            lambda a, c: cls[pairs.slot(left_at(a, rz[c]), rw[c])],
+            lambda c, b2: cls[pairs.slot(rz[c], right_at(rw[c], b2))],
             labels=zip(rz.tolist(), rw.tolist()),
             check=False,
         )
@@ -842,18 +838,20 @@ class GeneralizedMorphism:
         # carrier: the slots (a, z) with rho(z) == source(a)
         points = _Rows(g.source, _fan(self.rho, g.num_objects))
         ca, cz = points.row, points.col
+        mh, g_inverses, g_at = h.num_arrows, g.inverses, g.comp.at
+        left_at, right_at = self.left.at, self.right.at
 
         def right(i, pair_arrow):
-            a2, b = np.divmod(pair_arrow, h.num_arrows)
-            moved = self.right.at(self.left.at(g.inverses[a2], cz[i]), b)
-            return points.slot(g.comp.at(ca[i], a2), moved)
+            a2, b = np.divmod(pair_arrow, mh)
+            moved = right_at(left_at(g_inverses[a2], cz[i]), b)
+            return points.slot(g_at(ca[i], a2), moved)
 
         graph = GeneralizedMorphism(
             g,
             prod,
             g.target[ca],
             g.source[ca] * h.num_objects + self.sigma[cz],
-            lambda a2, i: points.slot(g.comp.at(a2, ca[i]), cz[i]),
+            lambda a2, i: points.slot(g_at(a2, ca[i]), cz[i]),
             right,
             labels=zip(ca.tolist(), cz.tolist()),
             check=False,
@@ -959,13 +957,14 @@ def factorize(morphism):
     obj_index = np.full(h.num_objects, -1, dtype=np.int64)
     obj_index[list(incl.obj_map)] = np.arange(piece.num_objects)
     arr_map = _ints(incl.arr_map)
+    right_at = morphism.right.at
     first = GeneralizedMorphism(
         morphism.src,
         piece,
         morphism.rho,
         obj_index[morphism.sigma],
         morphism.left.at,
-        lambda z, b: morphism.right.at(z, arr_map[b]),
+        lambda z, b: right_at(z, arr_map[b]),
         labels=morphism.labels,
         check=False,
     )
@@ -1044,8 +1043,8 @@ class InertiaGroupoid:
 
     Objects index ``loops``; the arrow ``(i, j, gamma)`` conjugates
     ``loops[i]`` into ``loops[j]`` by the base arrow ``gamma``.  The
-    arrows out of loop ``i`` are numbered in the order of
-    ``base.arrows_from`` at its object.  ``beta`` is the forgetful functor
+    arrows out of loop ``i`` are numbered in the index order of the base
+    arrows out of its object.  ``beta`` is the forgetful functor
     back to the base and ``tau[i]`` is the canonical automorphism of loop
     ``i`` given by the loop itself.
     """
@@ -1066,7 +1065,8 @@ class InertiaGroupoid:
         # arrow k is the slot (loop i, gamma out of its object)
         self._arrows = arrows = _Rows(at, base._out)
         i, gamma = arrows.row, arrows.col
-        conj = base.comp.at(base.comp.at(gamma, loops[i]), base.inverses[gamma])
+        base_at = base.comp.at
+        conj = base_at(base_at(gamma, loops[i]), base.inverses[gamma])
         j = self._loop_index[conj]
         arrow = arrows.slot
         data = tuple(zip(i.tolist(), j.tolist(), gamma.tolist()))
@@ -1076,7 +1076,7 @@ class InertiaGroupoid:
             len(loops),
             i,
             j,
-            lambda k2, k1: arrow(i[k1], base.comp.at(gamma[k2], gamma[k1])),
+            lambda k2, k1: arrow(i[k1], base_at(gamma[k2], gamma[k1])),
             arrow(everyone, base.units[at]),
             arrow(j, base.inverses[gamma]),
             object_labels=self.loops,
@@ -1141,13 +1141,14 @@ def inertia_of_morphism(morphism, inertia_src=None, inertia_dst=None):
         raise ValueError("carrier point %d has no matching loop downstairs" % cz[lost])
     cj = idst._loop_index[rows.col[is_loop][order[at]]]
     gamma, eta = isrc._arrows.col, idst._arrows.col
+    left_at, right_at, lands = f.left.at, f.right.at, isrc.groupoid.target
     lam = GeneralizedMorphism(
         isrc.groupoid,
         idst.groupoid,
         ci,
         cj,
-        lambda k, c: points.slot(f.left.at(gamma[k], cz[c]), isrc.groupoid.target[k]),
-        lambda c, k: points.slot(f.right.at(cz[c], eta[k]), ci[c]),
+        lambda k, c: points.slot(left_at(gamma[k], cz[c]), lands[k]),
+        lambda c, k: points.slot(right_at(cz[c], eta[k]), ci[c]),
         labels=zip(ci.tolist(), cz.tolist(), cj.tolist()),
         check=False,
     )

@@ -371,6 +371,41 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.stdout.strip().endswith("OK")
 
 
+def test_groupoid_check_at_the_order_cap_stays_small(tmp_path):
+    """S4 x C2 (order 48) embedded in itself: the graph lands in a product
+    with 48^2 arrows, whose composition table nothing reads.  The child
+    reports its own peak resident set, in KB on Linux."""
+    import os
+    import subprocess
+    import sys
+
+    path = tmp_path / "g48.json"
+    path.write_text(json.dumps({
+        "groups": {"G": {"permutations": [[1, 2, 3, 0, 4, 5], [1, 0, 2, 3, 4, 5],
+                                          [0, 1, 2, 3, 5, 4]]}},
+        "embeddings": {"GinG": {"target": "G", "elements": list(range(48))}},
+        "groupoid_checks": [{"embedding": "GinG"}],
+    }))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    child = (
+        "import resource, sys\n"
+        "from orbichern.cli import main\n"
+        "code = main(['groupoid-check', sys.argv[1]])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert "  graph-embedding: pass" in out
+    assert int(out[-1]) < 150 * 1024
+
+
 def test_corrupted_differential_message(capsys):
     code = main(["rrg-iso", fix("corrupt_nonequivariant_diff.json")])
     out = capsys.readouterr().out
@@ -535,6 +570,50 @@ def test_deeply_nested_json_is_load_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "load error: invalid JSON: nested too deeply (at /)\n"
+
+
+def _edited_text(edit):
+    def rewrite(text):
+        data = json.loads(text)
+        edit(data)
+        return json.dumps(data)
+
+    return rewrite
+
+
+def _huge_trunc(text):
+    """The file text with a 5000-digit top-level trunc, past the digit limit
+    of the interpreter's int conversion."""
+    return text.rstrip()[:-1] + ', "trunc": %s}' % ("1" * 5000)
+
+
+@pytest.mark.parametrize(
+    "rewrite,message",
+    [
+        (_edited_text(_set_model_line("1" * 5000)),
+         "parse error at position 0: integer longer than %d digits" % cli.MAX_DIGITS),
+        (_edited_text(_set_model_line("(" * 5000 + "1" + ")" * 5000)),
+         "parse error at position %d: parentheses nested deeper than %d"
+         % (cli.MAX_NESTING, cli.MAX_NESTING)),
+        (_huge_trunc, "invalid JSON: "),
+    ],
+    ids=["long_integer", "deep_parentheses", "long_json_integer"],
+)
+def test_oversized_literals_are_load_errors(tmp_path, capsys, rewrite, message):
+    path = tmp_path / "big.json"
+    path.write_text(rewrite((FIXTURES / "todd_line.json").read_text()))
+    code = main(["todd", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("load error: " + message)
+
+
+def test_expression_caps_admit_their_bounds():
+    digits = "1" * cli.MAX_DIGITS
+    assert parse_cyclotomic(digits) == Cyclotomic.from_rational(int(digits))
+    nested = "(" * cli.MAX_NESTING + "E(4)" + ")" * cli.MAX_NESTING
+    assert parse_cyclotomic(nested) == E(4)
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):

@@ -481,3 +481,229 @@ def test_sampled_action_checks_catch_swapped_rows():
             right[(0, b)], right[(1, b)] = right[(1, b)], right[(0, b)]
     with pytest.raises(ValueError, match="right action is not associative"):
         GeneralizedMorphism(gr.src, prod, gr.rho, gr.sigma, gr.left, right)
+
+
+# -- non-composable keys are named -----------------------------------------------
+
+
+def test_composition_on_non_composable_pairs_names_the_first():
+    s3 = FiniteGroup.symmetric(3)
+    t = FiniteGroupoid.translation(s3, 3, perm_images(s3))
+    comp = dict(t.comp)
+    strays = sorted((a, b) for a in range(t.num_arrows) for b in range(t.num_arrows)
+                    if t.source[a] != t.target[b])[-2:]
+    for key in reversed(strays):  # the least is named, not the first inserted
+        comp[key] = 0
+    with pytest.raises(ValueError, match=re.escape(
+        "composition defined on 2 non-composable pairs, the first (%d, %d)" % strays[0]
+    )):
+        FiniteGroupoid(3, t.source, t.target, comp, t.units, t.inverses)
+
+
+def test_missing_composite_is_named_without_strays():
+    s3 = FiniteGroup.symmetric(3)
+    g = FiniteGroupoid.from_group(s3)
+    comp = dict(g.comp)
+    del comp[(4, 2)]
+    with pytest.raises(ValueError, match=re.escape("missing composite for composable pair (4, 2)")):
+        FiniteGroupoid(1, g.source, g.target, comp, g.units, g.inverses)
+
+
+def test_actions_on_non_composable_pairs_name_the_first():
+    _, _, f = trivial_pair()
+    g, h = f.src, f.dst
+    left = dict(f.left)
+    left_strays = sorted((a, z) for a in range(g.num_arrows) for z in range(f.size)
+                         if g.source[a] != f.rho[z])[:3]
+    for key in reversed(left_strays):
+        left[key] = 0
+    with pytest.raises(ValueError, match=re.escape(
+        "left action defined on 3 non-composable pairs, the first (%d, %d)" % left_strays[0]
+    )):
+        GeneralizedMorphism(g, h, f.rho, f.sigma, left, f.right)
+    right = dict(f.right)
+    right_strays = sorted((z, b) for z in range(f.size) for b in range(h.num_arrows)
+                          if h.target[b] != f.sigma[z])[1:3]
+    for key in reversed(right_strays):
+        right[key] = 0
+    with pytest.raises(ValueError, match=re.escape(
+        "right action defined on 2 non-composable pairs, the first (%d, %d)" % right_strays[0]
+    )):
+        GeneralizedMorphism(g, h, f.rho, f.sigma, f.left, right)
+
+
+# -- tables built on first read against brute force ---------------------------
+
+
+def comma_tables(functor):
+    """Carrier, left and right of the comma bibundle, from dict tables."""
+    g, h = functor.src, functor.dst
+    comp = dict(h.comp)
+    points = [(x, b) for x in range(g.num_objects) for b in range(h.num_arrows)
+              if h.target[b] == functor.obj_map[x]]
+    index = {p: i for i, p in enumerate(points)}
+    left = {(a, z): index[(g.target[a], comp[(functor.arr_map[a], b)])]
+            for z, (x, b) in enumerate(points)
+            for a in range(g.num_arrows) if g.source[a] == x}
+    right = {(z, b2): index[(x, comp[(b, b2)])]
+             for z, (x, b) in enumerate(points)
+             for b2 in range(h.num_arrows) if h.target[b2] == h.source[b]}
+    return points, left, right
+
+
+def graph_tables(f):
+    g, h = f.src, f.dst
+    comp, fl, fr = dict(g.comp), dict(f.left), dict(f.right)
+    points = [(a, z) for a in range(g.num_arrows) for z in range(f.size)
+              if f.rho[z] == g.source[a]]
+    index = {p: i for i, p in enumerate(points)}
+    mh = h.num_arrows
+    left = {(a2, i): index[(comp[(a2, a)], z)]
+            for i, (a, z) in enumerate(points)
+            for a2 in range(g.num_arrows) if g.source[a2] == g.target[a]}
+    right = {(i, a2 * mh + b): index[(comp[(a, a2)], fr[(fl[(g.inverses[a2], z)], b)])]
+             for i, (a, z) in enumerate(points)
+             for a2 in range(g.num_arrows) if g.target[a2] == g.source[a]
+             for b in range(mh) if h.target[b] == f.sigma[z]}
+    return points, left, right
+
+
+def compose_tables(f1, f2):
+    pairs = [(z, w) for z in range(f1.size) for w in range(f2.size)
+             if f1.sigma[z] == f2.rho[w]]
+    index = {p: i for i, p in enumerate(pairs)}
+    r1, l2 = dict(f1.right), dict(f2.left)
+    cls = list(range(len(pairs)))
+
+    def find(i):
+        while cls[i] != i:
+            i = cls[i]
+        return i
+
+    for i, (z, w) in enumerate(pairs):
+        for b in range(f1.dst.num_arrows):
+            if f1.dst.target[b] == f1.sigma[z]:
+                j = index[(r1[(z, b)], l2[(f1.dst.inverses[b], w)])]
+                lo, hi = sorted((find(i), find(j)))
+                cls[hi] = lo
+    roots = sorted({find(i) for i in range(len(pairs))})
+    number = {r: k for k, r in enumerate(roots)}
+    orbit = [number[find(i)] for i in range(len(pairs))]
+    reps = [pairs[r] for r in roots]
+    l1, r2 = dict(f1.left), dict(f2.right)
+    left = {(a, c): orbit[index[(l1[(a, z)], w)]]
+            for c, (z, w) in enumerate(reps)
+            for a in range(f1.src.num_arrows) if f1.src.source[a] == f1.rho[z]}
+    right = {(c, b): orbit[index[(z, r2[(w, b)])]]
+             for c, (z, w) in enumerate(reps)
+             for b in range(f2.dst.num_arrows) if f2.dst.target[b] == f2.sigma[w]}
+    return reps, left, right
+
+
+def inertia_tables(f, isrc, idst):
+    g = f.src
+    fl, fr = dict(f.left), dict(f.right)
+    points = [(z, i) for z in range(f.size) for i, loop in enumerate(isrc.loops)
+              if g.source[loop] == f.rho[z]]
+    index = {p: c for c, p in enumerate(points)}
+    down = []
+    for z, i in points:
+        moved = fl[(isrc.loops[i], z)]
+        down.append(next(j for j, loop in enumerate(idst.loops)
+                         if f.dst.source[loop] == f.sigma[z] and fr[(z, loop)] == moved))
+    left = {(k, c): index[(fl[(gamma, z)], j)]
+            for c, (z, i) in enumerate(points)
+            for k, (i0, j, gamma) in enumerate(isrc.arrow_data) if i0 == i}
+    right = {(c, k): index[(fr[(z, eta)], i)]
+             for c, (z, i) in enumerate(points)
+             for k, (_, j, eta) in enumerate(idst.arrow_data) if j == down[c]}
+    return points, down, left, right
+
+
+def corpus():
+    """Validated bibundles of the tests above: C2 in S3, trivial C2 points,
+    the identity of S3 on 3 points, and C3 in S3."""
+    s3 = FiniteGroup.symmetric(3)
+    pt6 = FiniteGroupoid.from_group(s3)
+    c2, emb2 = subgroup_embedding(s3, [0, 2])
+    c3_elems = [g for g in range(6) if s3.name(g) in ("(0, 1, 2)", "(1, 2, 0)", "(2, 0, 1)")]
+    c3, emb3 = subgroup_embedding(s3, c3_elems)
+    functors = [
+        StrictFunctor(FiniteGroupoid.from_group(c2), pt6, [0], list(emb2.mapping)),
+        StrictFunctor(FiniteGroupoid.from_group(c3), pt6, [0], list(emb3.mapping)),
+        StrictFunctor.identity(FiniteGroupoid.translation(s3, 3, perm_images(s3))),
+    ]
+    _, _, trivial = trivial_pair()
+    return functors, [GeneralizedMorphism.from_functor(fn) for fn in functors] + [trivial]
+
+
+def assert_bibundle(f, rho, sigma, left, right):
+    assert f.validate()
+    assert f.rho.tolist() == list(rho) and f.sigma.tolist() == list(sigma)
+    assert dict(f.left) == left
+    assert dict(f.right) == right
+
+
+def test_tables_read_after_construction_match_brute_force():
+    functors, morphisms = corpus()
+    for functor in functors:
+        f = GeneralizedMorphism.from_functor(functor)
+        points, left, right = comma_tables(functor)
+        assert_bibundle(f, [x for x, _ in points],
+                        [functor.dst.source[b] for _, b in points], left, right)
+    for f in morphisms:
+        g, h = f.src, f.dst
+        prod = FiniteGroupoid.product(g, h)
+        assert prod.validate()
+        assert dict(prod.comp) == product_comp(dict(g.comp), dict(h.comp), h.num_arrows)
+        gr = f.graph()
+        assert gr.dst.validate()
+        assert dict(gr.dst.comp) == dict(prod.comp)
+        points, left, right = graph_tables(f)
+        assert_bibundle(gr, [g.target[a] for a, _ in points],
+                        [g.source[a] * h.num_objects + f.sigma[z] for a, z in points],
+                        left, right)
+        ident = GeneralizedMorphism.identity(h)
+        for f1, f2 in ((f, ident), (GeneralizedMorphism.identity(g), f)):
+            reps, left, right = compose_tables(f1, f2)
+            assert_bibundle(f1.compose(f2), [f1.rho[z] for z, _ in reps],
+                            [f2.sigma[w] for _, w in reps], left, right)
+        objects = sorted(set(f.sigma.tolist()))
+        piece, incl = h.full_subgroupoid(objects)
+        assert piece.validate()
+        index = {a: i for i, a in enumerate(incl.arr_map)}
+        assert dict(piece.comp) == {(index[a], index[b]): index[c]
+                                    for (a, b), c in dict(h.comp).items()
+                                    if a in index and b in index}
+        first, second = factorize(f)
+        obj_index = {x: i for i, x in enumerate(objects)}
+        assert_bibundle(first, f.rho.tolist(), [obj_index[y] for y in f.sigma.tolist()],
+                        dict(f.left),
+                        {(z, index[a]): w for (z, a), w in dict(f.right).items() if a in index})
+        points, left, right = comma_tables(incl)
+        assert_bibundle(second, [x for x, _ in points],
+                        [h.source[b] for _, b in points], left, right)
+        isrc, idst = inertia(g), inertia(h)
+        lam = inertia_of_morphism(f, isrc, idst)
+        assert isrc.groupoid.validate() and idst.groupoid.validate()
+        points, down, left, right = inertia_tables(f, isrc, idst)
+        assert_bibundle(lam, [i for _, i in points], down, left, right)
+
+
+def test_rebinding_inputs_changes_no_deferred_table():
+    s3 = FiniteGroup.symmetric(3)
+    functors, _ = corpus()
+    want_prod = FiniteGroupoid.product(functors[0].src, functors[0].dst)
+    want_graph = GeneralizedMorphism.from_functor(functors[0]).graph()
+    want = (dict(want_prod.comp), dict(want_graph.left), dict(want_graph.right),
+            dict(want_graph.dst.comp))
+    # fresh inputs of the same shape, so the results below are still unread
+    sub, emb = subgroup_embedding(s3, [0, 2])
+    g, h = FiniteGroupoid.from_group(sub), FiniteGroupoid.from_group(s3)
+    f = GeneralizedMorphism.from_functor(StrictFunctor(g, h, [0], list(emb.mapping)))
+    prod = FiniteGroupoid.product(g, h)
+    gr = f.graph()
+    other = GeneralizedMorphism.identity(FiniteGroupoid.from_group(FiniteGroup.cyclic(6)))
+    f.left, f.right = other.left, other.right
+    g.comp, h.comp = other.dst.comp, other.dst.comp
+    assert (dict(prod.comp), dict(gr.left), dict(gr.right), dict(gr.dst.comp)) == want
