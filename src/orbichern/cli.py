@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .exactnum import Cyclotomic
 from .linalg import Matrix
-from .groups import FiniteGroup, GroupEmbedding, subgroup_embedding
+from .groups import MAX_ORDER, FiniteGroup, GroupEmbedding, subgroup_embedding
 from .reps import (
     Representation,
     character,
@@ -56,7 +56,6 @@ from .rrg import (
 
 SCHEMA_VERSION = 1
 DEFAULT_TRUNC = 4
-MAX_SCENARIO_ORDER = 48
 # cap on the monomials of one truncated series, C(vars + trunc, trunc)
 MAX_MONOMIALS = 256
 # caps on one expression: the digits of an integer, the depth of parentheses
@@ -278,11 +277,9 @@ class Scenario:
 
 
 def _capped(order, pointer):
-    """Refuse a group order above the scenario cap, before any table exists."""
-    if order > MAX_SCENARIO_ORDER:
-        raise LoadError(
-            "group order exceeds the scenario cap of %d" % MAX_SCENARIO_ORDER, pointer
-        )
+    """Refuse a group order above the cap, before any table exists."""
+    if order > MAX_ORDER:
+        raise LoadError("group order exceeds the scenario cap of %d" % MAX_ORDER, pointer)
 
 
 def _load_group(name, body, ptr):
@@ -300,7 +297,7 @@ def _load_group(name, body, ptr):
             if not perms:
                 raise LoadError("need at least one generator", ptr + "/permutations")
             degree = len(_want(perms[0], list, ptr + "/permutations/0", "a list"))
-            return FiniteGroup.from_generators(degree, perms, max_order=MAX_SCENARIO_ORDER)
+            return FiniteGroup.from_generators(degree, perms)
         if "cyclic" in body:
             n = _want_int(body["cyclic"], ptr + "/cyclic")
             _capped(n, ptr + "/cyclic")
@@ -731,9 +728,11 @@ def _run_induce(name, block, trunc):
 
 def _run_chern(name, block, trunc):
     cx, chart = block["cx"], block["chart"]
-    problems = [] if cx.validated else cx.validate()
-    if problems:
-        return _error_block(name, problems[0])
+    if not cx.validated:
+        try:
+            cx.validate()
+        except ValueError as exc:
+            return _error_block(name, str(exc))
     ch = delocalized_chern(chart, cx, trunc)
     comps = inertia_data(chart)
     rows = []

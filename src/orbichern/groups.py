@@ -9,11 +9,15 @@ indices, so every derived datum is deterministic.
 from __future__ import annotations
 
 import itertools
-import random
+import math
 
-MAX_ORDER = 10000
-_ASSOC_FULL = 256
-_ASSOC_SAMPLES = 10000
+MAX_ORDER = 48
+
+
+def _check_order(n):
+    """Refuse a group order outside 1..MAX_ORDER, before any table exists."""
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError("group order must be between 1 and %d" % MAX_ORDER)
 
 
 class FiniteGroup:
@@ -24,8 +28,7 @@ class FiniteGroup:
     def __init__(self, table, names=None, check=True):
         table = tuple(tuple(row) for row in table)
         n = len(table)
-        if not 1 <= n <= MAX_ORDER:
-            raise ValueError("group order must be between 1 and %d" % MAX_ORDER)
+        _check_order(n)
         for row in table:
             if len(row) != n:
                 raise ValueError("multiplication table is not square")
@@ -75,28 +78,16 @@ class FiniteGroup:
         return tuple(inv)
 
     def _check_associativity(self):
-        n = self.size
         t = self.table
-        if n <= _ASSOC_FULL:
-            rng_range = range(n)
-            for a in rng_range:
-                ta = t[a]
-                for b in rng_range:
-                    tab = t[ta[b]]
-                    tb = t[b]
-                    for c in rng_range:
-                        if tab[c] != ta[tb[c]]:
-                            raise ValueError(
-                                "associativity fails at (%d, %d, %d)" % (a, b, c)
-                            )
-        else:
-            rng = random.Random(0x5EED ^ n)
-            for _ in range(_ASSOC_SAMPLES):
-                a = rng.randrange(n)
-                b = rng.randrange(n)
-                c = rng.randrange(n)
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    raise ValueError("associativity fails at (%d, %d, %d)" % (a, b, c))
+        elems = range(self.size)
+        for a in elems:
+            ta = t[a]
+            for b in elems:
+                tab = t[ta[b]]
+                tb = t[b]
+                for c in elems:
+                    if tab[c] != ta[tb[c]]:
+                        raise ValueError("associativity fails at (%d, %d, %d)" % (a, b, c))
 
     # -- basic operations ------------------------------------------------
 
@@ -154,6 +145,7 @@ class FiniteGroup:
     @staticmethod
     def from_mult(elements, mult, names=None, check=True):
         """Build from a label list and a multiplication function on labels."""
+        _check_order(len(elements))
         index = {x: i for i, x in enumerate(elements)}
         table = [
             [index[mult(a, b)] for b in elements] for a in elements
@@ -163,12 +155,12 @@ class FiniteGroup:
         return FiniteGroup(table, names=names, check=check)
 
     @staticmethod
-    def from_generators(degree, perms, check=True, max_order=MAX_ORDER):
+    def from_generators(degree, perms, check=True):
         """Closure of permutations of {0..degree-1} under composition.
 
         Composition convention: (p*q)(x) = p(q(x)).  The identity gets
         index 0; the remaining elements appear in breadth-first order.
-        A closure past ``max_order`` elements stops before any table is
+        A closure past ``MAX_ORDER`` elements stops before any table is
         built.
         """
         perms = [tuple(p) for p in perms]
@@ -184,7 +176,7 @@ class FiniteGroup:
             for g in perms:
                 y = tuple(g[x[i]] for i in range(degree))
                 if y not in found:
-                    if len(found) >= max_order:
+                    if len(found) >= MAX_ORDER:
                         raise ValueError("closure exceeds the order cap")
                     found[y] = len(order)
                     order.append(y)
@@ -198,12 +190,15 @@ class FiniteGroup:
 
     @staticmethod
     def cyclic(n, check=True):
+        _check_order(n)
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         return FiniteGroup(table, names=[str(i) for i in range(n)], check=check)
 
     @staticmethod
     def symmetric(n, check=True):
         """S_n on lexicographically sorted permutation labels; identity first."""
+        # n! >= n, so clamping n past the cap keeps the refusal and its cost low
+        _check_order(math.factorial(min(max(n, 0), MAX_ORDER + 1)))
         elements = sorted(itertools.permutations(range(n)))
         return FiniteGroup.from_mult(
             elements,
@@ -244,6 +239,7 @@ class FiniteGroup:
     @staticmethod
     def direct_product(a, b, check=True):
         na, nb = a.size, b.size
+        _check_order(na * nb)
         table = [
             [
                 a.table[x // nb][y // nb] * nb + b.table[x % nb][y % nb]

@@ -169,11 +169,6 @@ class Matrix:
             ncols=self.ncols + other.ncols,
         )
 
-    def vstack(self, other) -> "Matrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch in vstack")
-        return Matrix(self.rows + other.rows, ncols=self.ncols)
-
     def rref(self):
         """Reduced row echelon form and the pivot column indices."""
         rows = [list(r) for r in self.rows]

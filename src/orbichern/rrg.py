@@ -47,13 +47,10 @@ SKIPPED = "skipped"
 
 
 def _require_valid(obj):
-    """Raise on the first problem reported by a validate() survey; an
-    object flagged as validated is taken as checked."""
-    if obj.validated:
-        return
-    problems = obj.validate()
-    if problems:
-        raise ValueError(problems[0])
+    """Run ``validate()``, which raises at the first violation, unless the
+    object is flagged as validated."""
+    if not obj.validated:
+        obj.validate()
 
 
 class ClassEntry:

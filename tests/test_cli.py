@@ -9,6 +9,7 @@ import pytest
 
 import orbichern.cli as cli
 from orbichern.exactnum import Cyclotomic
+from orbichern.reps import character
 from orbichern.cli import (
     CycParseError,
     LoadError,
@@ -274,6 +275,23 @@ def test_corrupted_action_names_its_witness(command, capsys):
     )
 
 
+def test_chern_of_an_unchecked_complex_reports_its_first_violation(tmp_path, capsys):
+    def edit(data):
+        data["complexes"]["stdK"] = {
+            "group": "S3", "pieces": ["std", "std"],
+            "differentials": [[["1", "0"], ["0", "2"]]], "skip_validation": True,
+        }
+
+    path = _edited_copy(tmp_path, "s3_standard.json", edit)
+    code = main(["chern", path])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == (
+        "chern chern[0]: fail  (differential at degree 0 is not equivariant at element 1)\n"
+        "FAILED\n"
+    )
+
+
 def _edited_copy(tmp_path, name, edit):
     data = json.loads((FIXTURES / name).read_text())
     edit(data)
@@ -332,6 +350,60 @@ def test_load_caps_group_order_before_building(tmp_path, capsys):
         parse_scenario(data)  # S5, order 120
     assert err.value.pointer == "/groups/G"
     assert parse_scenario({"groups": {"G": {"cyclic": 48}}}).groups["G"].size == 48
+
+
+def test_load_quaternion_group():
+    q8 = parse_scenario({"groups": {"Q": {"quaternion": True}}}).groups["Q"]
+    assert q8.size == 8 and not q8.is_abelian()
+    assert q8.conjugacy().sizes == (1, 1, 2, 2, 2)
+    assert [q8.order_of(x) for x in q8.elements()] == [1, 2, 4, 4, 4, 4, 4, 4]
+
+
+def test_load_permutation_representation():
+    s3 = {"S3": {"symmetric": 3}}
+    # S3 on its three points: each element is its own list of images
+    images = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]]
+    reps = {"P": {"group": "S3", "permutation": images}}
+    sc = parse_scenario({"groups": s3, "representations": reps})
+    perm = sc.representations["P"]
+    assert sc.groups["S3"].names == tuple(str(tuple(p)) for p in images)
+    assert perm.dim == 3 and perm.validated
+    assert [str(v) for v in character(perm).values] == ["3", "1", "0"]
+    # images that are not an action fail at their first pair, named alone
+    reps["P"]["permutation"] = [images[0]] + [images[1]] * 5
+    with pytest.raises(LoadError) as err:
+        parse_scenario({"groups": s3, "representations": reps})
+    assert str(err.value) == "multiplicativity fails at pair (1, 2) (at /representations/P)"
+
+
+def test_load_embedding_by_elements_registers_its_source():
+    groups = {"S3": {"symmetric": 3}}
+    emb = {"target": "S3", "elements": [0, 3, 4], "register_source": "C3"}
+    sc = parse_scenario({"groups": groups, "embeddings": {"C3inS3": emb}})
+    c3 = sc.groups["C3"]
+    assert c3 is sc.embeddings["C3inS3"].source and c3.size == 3
+    assert sc.embeddings["C3inS3"].index == 2
+    emb["register_source"] = "S3"
+    with pytest.raises(LoadError) as err:
+        parse_scenario({"groups": groups, "embeddings": {"C3inS3": emb}})
+    assert str(err.value) == (
+        "group name 'S3' already taken (at /embeddings/C3inS3/register_source)"
+    )
+
+
+def test_groupoid_check_of_a_self_embedding_checks_inertia(tmp_path, capsys):
+    """S3 in itself preserves stabilizers, so its inertia is checked too."""
+    path = tmp_path / "s3_in_s3.json"
+    path.write_text(json.dumps({
+        "groups": {"S3": {"symmetric": 3}},
+        "embeddings": {"S3inS3": {"target": "S3", "elements": list(range(6))}},
+        "groupoid_checks": [{"embedding": "S3inS3"}],
+    }))
+    code = main(["groupoid-check", str(path)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert "  inertia-stabilizers: pass" in out
+    assert "  factorize-round-trip: pass" in out
 
 
 @pytest.mark.parametrize(

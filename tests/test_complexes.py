@@ -74,7 +74,7 @@ def test_cone_supertrace_is_target_minus_source():
             (reynolds(rng, a, b),),
         )
         cone = mapping_cone(phi)
-        assert not cone.validate()
+        assert cone.validate() is True
         assert supertrace_class(cone) == character(b) - character(a), name
 
 
@@ -83,7 +83,7 @@ def test_cone_of_identity_is_acyclic():
     for g in corpus_groups().values():
         c = random_complex(rng, g, max_dim=3, summands=1)
         cone = mapping_cone(ChainMap.identity(c))
-        assert not cone.validate()
+        assert cone.validate() is True
         zero = VirtualCharacter(
             g, [Cyclotomic.zero()] * len(g.conjugacy().reps)
         )
@@ -95,18 +95,18 @@ def test_cone_of_identity_is_acyclic():
 def test_cone_differential_squares_even_for_longer_sources(s3, natural, augmentation):
     phi = ChainMap.identity(augmentation)
     cone = mapping_cone(phi)
-    assert not cone.validate()
+    assert cone.validate() is True
     assert cone.min_degree == -1
     assert cone.piece(0).dim == natural.dim + 1
 
 
 def test_shift_negates_supertrace_and_stays_valid(augmentation):
     sh = shift(augmentation)
-    assert not sh.validate()
+    assert sh.validate() is True
     assert sh.min_degree == augmentation.min_degree - 1
     assert supertrace_class(sh) == -supertrace_class(augmentation)
     sh2 = shift(sh)
-    assert not sh2.validate()
+    assert sh2.validate() is True
     assert supertrace_class(sh2) == supertrace_class(augmentation)
 
 
@@ -126,7 +126,7 @@ def test_euler_characteristic_matches_supertrace():
     for name, g in corpus_groups().items():
         for _ in range(3):
             c = random_complex(rng, g, max_dim=3, summands=2)
-            assert not c.validate(), name
+            assert c.validate() is True, name
             hs = cohomology(c)
             euler = None
             for k, h in zip(c.degrees(), hs):
@@ -163,3 +163,37 @@ def test_chain_map_validation_catches_non_commuting(s3, natural, augmentation):
     mats = (Matrix.identity(3), Matrix.zero(1, 1))
     with pytest.raises(ValueError, match="commute"):
         ChainMap(augmentation, augmentation, (mats[0], Matrix.from_rows([[2]])))
+
+
+# -- validate(): every element checked, the first violation raised ----------
+
+
+def test_validate_returns_true_on_a_complex_and_a_chain_map(augmentation):
+    assert augmentation.validate() is True
+    phi = ChainMap(augmentation, augmentation, ChainMap.identity(augmentation).mats)
+    assert phi.validate() is True
+
+
+def test_validate_catches_a_violation_at_the_last_element_of_order_48():
+    """A line whose action is trivial except at element 47: a complex or a
+    chain map into it from the trivial line fails there and only there."""
+    c48 = FiniteGroup.cyclic(48)
+    triv = Representation.trivial(c48)
+    odd = Representation.one_dimensional(c48, [1] * 47 + [-1], check=False)
+    one = Matrix.identity(1)
+    with pytest.raises(
+        ValueError, match=r"^differential at degree 0 is not equivariant at element 47$"
+    ):
+        EquivariantComplex(c48, 0, (triv, odd), (one,))
+    source = EquivariantComplex.single(triv)
+    target = EquivariantComplex(c48, 0, (odd,), (), check=False)
+    with pytest.raises(ValueError, match=r"^not equivariant at slot 0$"):
+        ChainMap(source, target, (one,))
+
+
+def test_complex_check_reports_only_the_first_violation(s3, natural):
+    # d o d is nonzero and d is not equivariant: only the first is named
+    triv = Representation.trivial(s3)
+    e0 = Matrix.from_rows([[1, 0, 0]])
+    with pytest.raises(ValueError, match=r"^d o d is nonzero from degree 0$"):
+        EquivariantComplex(s3, 0, (natural, triv, natural), (e0, e0.transpose()))

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from orbichern.groups import (
+    MAX_ORDER,
     FiniteGroup,
     GroupEmbedding,
     centralizer,
@@ -143,3 +146,34 @@ def test_centralizer_function():
     assert centralizer(g, g.identity) == list(range(6))
     t = min(x for x in g.elements() if g.order_of(x) == 2)
     assert len(centralizer(g, t)) == 2
+
+
+def test_library_groups_stop_at_the_order_cap():
+    assert MAX_ORDER == 48
+    assert FiniteGroup.cyclic(48).size == 48
+    with pytest.raises(ValueError, match="^group order must be between 1 and 48$"):
+        FiniteGroup.cyclic(49)
+    with pytest.raises(ValueError, match="^closure exceeds the order cap$"):
+        FiniteGroup.dihedral(25)
+
+
+@pytest.mark.parametrize("name", ["cyclic", "symmetric", "direct_product", "from_mult"])
+def test_constructors_refuse_an_order_past_the_cap_before_any_table(name):
+    """Even one order past the cap, a table costs tens of kilobytes; the
+    refusal costs about one, because the order is checked before anything
+    is enumerated."""
+    c7 = FiniteGroup.cyclic(7)
+    build = {
+        "cyclic": lambda: FiniteGroup.cyclic(49),
+        "symmetric": lambda: FiniteGroup.symmetric(5),
+        "direct_product": lambda: FiniteGroup.direct_product(c7, c7),
+        "from_mult": lambda: FiniteGroup.from_mult(range(49), lambda x, y: (x + y) % 49),
+    }[name]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^group order must be between 1 and 48$"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024, peak

@@ -78,8 +78,7 @@ def sign(group, images):
 def audited(obj):
     """``obj`` after asserting that it is flagged and passes in full."""
     assert obj.validated, obj
-    problems = obj.validate()
-    assert problems in (True, []), problems
+    assert obj.validate() is True
     return obj
 
 
@@ -210,7 +209,7 @@ def test_restrict_and_induce_of_unchecked_rep_stay_unflagged(s3_pair):
     down = restrict(emb, bad)
     assert not down.validated
     # on C2 the restriction happens to be the sign: unflagged, yet valid
-    assert down.validate() == []
+    assert down.validate() is True
     up = induce(emb, Representation.one_dimensional(sub, [1, 2], check=False))
     assert not up.validated
     for rep, pair in ((bad, "(1, 2)"), (up, "(1, 1)")):
@@ -298,7 +297,7 @@ def test_require_valid_skips_flagged_objects(monkeypatch, s3_pair):
     assert rrg.check_iso_spatial(rrg.IsoSpatialScenario(emb, chart, cx)).passed
     assert rrg.check_functoriality(emb, big).passed
     assert rep_calls == [] and cx_calls == []
-    assert chart.validate() == [] and cx.validate() == []
+    assert chart.validate() is True and cx.validate() is True
     assert rep_calls == [chart] and cx_calls == [cx]
     unflagged = EquivariantComplex(s3, 0, big.pieces, big.diffs, check=False)
     rrg._require_valid(unflagged)
@@ -374,7 +373,8 @@ def test_rebinding_a_representation_slot_clears_the_flag(s3_pair):
     rep.mats = Representation.one_dimensional(s3, [-1] * s3.size, check=False).mats
     assert not rep.validated
     message = "identity does not map to the identity matrix"
-    assert rep.validate()[0] == message
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        rep.validate()
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         rrg._require_valid(rep)
     # the flag itself may be set again; a fresh check passes on valid data

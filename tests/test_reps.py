@@ -79,7 +79,7 @@ def test_validation_catches_bad_rep(s3):
 
 def test_exterior_square_of_standard_is_sign(s3, std):
     lam2 = exterior_power(std, 2)
-    assert not lam2.validate()
+    assert lam2.validate() is True
     sign_values = []
     for g in s3.elements():
         perm = perm_of_name(s3.name(g))
@@ -106,7 +106,7 @@ def test_induced_trivial_from_c2(s3):
     c2, emb = subgroup_embedding(s3, [0, transposition])
     ind = induce(emb, Representation.trivial(c2))
     assert ind.dim == 3
-    assert not ind.validate()
+    assert ind.validate() is True
     assert character(ind).values == (
         Cyclotomic.from_rational(3),
         Cyclotomic.from_rational(1),
@@ -123,7 +123,7 @@ def test_induced_matrix_blocks_match_full_induce(s3):
     ind = induce(emb, sign)
     for h in s3.elements():
         assert ind.mats[h] == induced_matrix(emb, sign, h)
-    assert not ind.validate()
+    assert ind.validate() is True
 
 
 def test_induction_from_c3_weight(s3, std):
@@ -141,7 +141,7 @@ def test_induction_from_c3_weight(s3, std):
         values.append(E(3) ** k)
     weight = Representation.one_dimensional(c3, values)
     ind = induce(emb, weight)
-    assert not ind.validate()
+    assert ind.validate() is True
     assert character(ind) == character(std)
 
 
@@ -280,7 +280,7 @@ def test_restrict_matrices(s3, std):
     c2, emb = subgroup_embedding(s3, [0, transposition])
     res = restrict(emb, std)
     assert res.mats[1] == std.mats[transposition]
-    assert not res.validate()
+    assert res.validate() is True
 
 
 def test_zero_dimensional_rep(s3):
@@ -290,3 +290,29 @@ def test_zero_dimensional_rep(s3):
         Cyclotomic.from_rational(0),
     ) * 3
     assert character(exterior_power(z, 0)).virtual_dim == 1
+
+
+# -- validate(): every pair checked, the first violation raised -------------
+
+
+def test_check_reports_only_the_first_of_several_violations():
+    # the identity goes to 2 and no pair multiplies correctly
+    with pytest.raises(ValueError, match=r"^identity does not map to the identity matrix$"):
+        Representation.one_dimensional(FiniteGroup.cyclic(2), [2, 3])
+    with pytest.raises(ValueError, match=r"^multiplicativity fails at pair \(1, 1\)$"):
+        Representation.one_dimensional(FiniteGroup.cyclic(3), [1, 2, 3])
+
+
+def test_validate_returns_true_on_a_representation(s3, std):
+    assert std.validate() is True
+    assert Representation.cyclic_weight(FiniteGroup.cyclic(48), 5).validate() is True
+
+
+def test_validate_catches_a_violation_at_the_last_element_of_order_48():
+    c48 = FiniteGroup.cyclic(48)
+    values = [E(48, k) for k in range(48)]
+    values[47] = -values[47]
+    rep = Representation.one_dimensional(c48, values, check=False)
+    # the first pair with product 47 is (1, 46): (0, 47) multiplies correctly
+    with pytest.raises(ValueError, match=r"^multiplicativity fails at pair \(1, 46\)$"):
+        rep.validate()
