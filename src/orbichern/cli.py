@@ -298,17 +298,21 @@ def _load_group(name, body, ptr):
                 raise LoadError("need at least one generator", ptr + "/permutations")
             degree = len(_want(perms[0], list, ptr + "/permutations/0", "a list"))
             return FiniteGroup.from_generators(degree, perms)
+        # the branches that read an order n point their refusals at it
         if "cyclic" in body:
-            n = _want_int(body["cyclic"], ptr + "/cyclic")
-            _capped(n, ptr + "/cyclic")
+            ptr += "/cyclic"
+            n = _want_int(body["cyclic"], ptr)
+            _capped(n, ptr)
             return FiniteGroup.cyclic(n), None
         if "symmetric" in body:
-            n = _want_int(body["symmetric"], ptr + "/symmetric")
-            _capped(math.factorial(min(max(n, 0), 5)), ptr + "/symmetric")
+            ptr += "/symmetric"
+            n = _want_int(body["symmetric"], ptr)
+            _capped(math.factorial(min(max(n, 0), 5)), ptr)
             return FiniteGroup.symmetric(n), None
         if "dihedral" in body:
-            n = _want_int(body["dihedral"], ptr + "/dihedral")
-            _capped(2 * n, ptr + "/dihedral")
+            ptr += "/dihedral"
+            n = _want_int(body["dihedral"], ptr)
+            _capped(2 * n, ptr)
             return FiniteGroup.dihedral(n), None
         if "quaternion" in body:
             return FiniteGroup.quaternion(), None

@@ -25,18 +25,22 @@ groupoids, and the Morita decomposition of inertia for translation
 groupoids.
 
 A groupoid, functor or bibundle built with ``check=True`` checks its
-axioms as whole array passes.  The constructors of the calculus
-(`product`, `full_subgroupoid`, the inertia groupoid and ``beta``,
-`from_functor`, `compose`, `graph`, `factorize`, `inertia_of_morphism`)
-skip that check when every input is flagged as validated, and run it
-otherwise; their outputs are flagged either way.  Tables are read-only
-arrays, so a flag cannot go stale.  The cubic check families
-(associativity of composition and of the two bibundle actions, and the
-commutation between them) run exhaustively up to `_TRIPLES_FULL`
-instances, in bounded chunks, and switch to `_TRIPLES_SAMPLES` draws
-from a fixed seed beyond that; all linear and quadratic checks stay
-exhaustive.  A failing check names the first failing index.  All
-enumerations are index ordered, so outputs are deterministic.
+axioms as whole array passes.  `from_group` and `translation` read a
+`FiniteGroup`, whose table is a group's, skip that check and flag their
+output; `translation` checks that ``images`` is an action on every
+triple, which with the group axioms implies every groupoid axiom.  The
+constructors of the calculus (`product`, `full_subgroupoid`, the inertia
+groupoid and ``beta``, `from_functor`, `compose`, `graph`, `factorize`,
+`inertia_of_morphism`) skip the check when every input is flagged as
+validated, and run it otherwise; their outputs are flagged either way.
+Tables are read-only arrays, so a flag cannot go stale.  The cubic check
+families (associativity of composition and of the two bibundle actions,
+and the commutation between them) run exhaustively up to
+`_TRIPLES_FULL` instances, in bounded chunks, and switch to
+`_TRIPLES_SAMPLES` draws from a fixed seed beyond that; all linear and
+quadratic checks stay exhaustive.  A failing check names the first
+failing index.  All enumerations are index ordered, so outputs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -96,8 +100,9 @@ def _ints(values):
 
 def _derived(obj, *inputs):
     """``obj``, built unchecked by a trusted constructor from ``inputs``,
-    and flagged as validated: at once when every input is flagged, else
-    once its own full check has passed."""
+    and flagged as validated: at once when every input is flagged (always,
+    with none: groups carry no flag), else once its own full check has
+    passed."""
     if not all(x.validated for x in inputs):
         obj.validate()
     obj.validated = True
@@ -343,25 +348,12 @@ class FiniteGroupoid:
         "comp",
         "units",
         "inverses",
-        "object_labels",
-        "arrow_labels",
         "validated",
         "_out",
         "_in",
     )
 
-    def __init__(
-        self,
-        num_objects,
-        source,
-        target,
-        comp,
-        units,
-        inverses,
-        object_labels=None,
-        arrow_labels=None,
-        check=True,
-    ):
+    def __init__(self, num_objects, source, target, comp, units, inverses, check=True):
         self.num_objects = int(num_objects)
         self.source = _ints(source)
         self.target = _ints(target)
@@ -370,8 +362,6 @@ class FiniteGroupoid:
             raise ValueError("at most %d arrows are supported" % MAX_ARROWS)
         self.units = _ints(units)
         self.inverses = _ints(inverses)
-        self.object_labels = tuple(object_labels) if object_labels is not None else None
-        self.arrow_labels = tuple(arrow_labels) if arrow_labels is not None else None
         self._check_shape()
         self._out = _fan(self.source, self.num_objects)
         self._in = _fan(self.target, self.num_objects)
@@ -449,25 +439,26 @@ class FiniteGroupoid:
 
     @staticmethod
     def from_group(group):
-        """One object whose arrows are the group elements."""
+        """One object whose arrows are the group elements; trusted."""
         n = group.size
         mul = np.array(group.table, dtype=np.int64).reshape(n, n)
-        return FiniteGroupoid(
+        return _derived(FiniteGroupoid(
             1,
             np.zeros(n, dtype=np.int64),
             np.zeros(n, dtype=np.int64),
             lambda a, b: mul[a, b],
             [group.identity],
             group.inverses,
-            arrow_labels=group.names if group.names is not None else tuple(range(n)),
-        )
+            check=False,
+        ))
 
     @staticmethod
     def translation(group, num_points, images):
         """Action groupoid of ``group`` on ``{0, .., num_points - 1}``.
 
         ``images[g][x]`` is ``g . x``; the arrow ``g * num_points + x``
-        runs from ``x`` to ``g . x``.
+        runs from ``x`` to ``g . x``.  Trusted once ``images`` passes the
+        action checks below.
         """
         p = int(num_points)
         n = group.size
@@ -500,16 +491,15 @@ class FiniteGroupoid:
             g1, x = np.divmod(b, p)
             return mul[a // p, g1] * p + x
 
-        return FiniteGroupoid(
+        return _derived(FiniteGroupoid(
             p,
             np.tile(points, n),
             img.ravel(),
             comp,
             group.identity * p + points,
             (np.array(group.inverses, dtype=np.int64)[:, None] * p + img).ravel(),
-            object_labels=range(p),
-            arrow_labels=[(g, x) for g in range(n) for x in range(p)],
-        )
+            check=False,
+        ))
 
     @staticmethod
     def product(a, b):
@@ -549,9 +539,6 @@ class FiniteGroupoid:
         arrs = np.flatnonzero(keep[self.source] & keep[self.target])
         arr_index = np.full(self.num_arrows, -1, dtype=np.int64)
         arr_index[arrs] = np.arange(len(arrs))
-        labels = None
-        if self.arrow_labels is not None:
-            labels = [self.arrow_labels[a] for a in arrs.tolist()]
         comp_at = self.comp.at
         sub = FiniteGroupoid(
             len(objs),
@@ -560,8 +547,6 @@ class FiniteGroupoid:
             lambda a, b: arr_index[comp_at(arrs[a], arrs[b])],
             arr_index[self.units[objs]],
             arr_index[self.inverses[arrs]],
-            object_labels=objs,
-            arrow_labels=labels,
             check=False,
         )
         _derived(sub, self)
@@ -652,16 +637,15 @@ class GeneralizedMorphism:
     """
 
     __slots__ = (
-        "src", "dst", "size", "rho", "sigma", "left", "right", "labels", "validated",
+        "src", "dst", "size", "rho", "sigma", "left", "right", "validated",
     )
 
-    def __init__(self, src, dst, rho, sigma, left, right, labels=None, check=True):
+    def __init__(self, src, dst, rho, sigma, left, right, check=True):
         self.src = src
         self.dst = dst
         self.rho = _ints(rho)
         self.sigma = _ints(sigma)
         self.size = len(self.rho)
-        self.labels = tuple(labels) if labels is not None else None
         self._check_anchors()
         self.left = _Table(_Rows(self.rho, src._out), left, row_first=False)
         self.right = _Table(_Rows(self.sigma, dst._in), right, row_first=True)
@@ -793,7 +777,6 @@ class GeneralizedMorphism:
             h.source[b],
             lambda a, z: points.slot(g_target[a], h_at(arr[a], b[z])),
             lambda z, b2: points.slot(x[z], h_at(b[z], b2)),
-            labels=zip(x.tolist(), b.tolist()),
             check=False,
         )
         return _derived(comma, functor, g, h)
@@ -826,7 +809,6 @@ class GeneralizedMorphism:
             other.sigma[rw],
             lambda a, c: cls[pairs.slot(left_at(a, rz[c]), rw[c])],
             lambda c, b2: cls[pairs.slot(rz[c], right_at(rw[c], b2))],
-            labels=zip(rz.tolist(), rw.tolist()),
             check=False,
         )
         return _derived(composite, self, other, self.src, h, other.dst)
@@ -853,7 +835,6 @@ class GeneralizedMorphism:
             g.source[ca] * h.num_objects + self.sigma[cz],
             lambda a2, i: points.slot(g_at(a2, ca[i]), cz[i]),
             right,
-            labels=zip(ca.tolist(), cz.tolist()),
             check=False,
         )
         return _derived(graph, self, g, h)
@@ -965,7 +946,6 @@ def factorize(morphism):
         obj_index[morphism.sigma],
         morphism.left.at,
         lambda z, b: right_at(z, arr_map[b]),
-        labels=morphism.labels,
         check=False,
     )
     _derived(first, morphism, morphism.src, h)
@@ -1069,8 +1049,7 @@ class InertiaGroupoid:
         conj = base_at(base_at(gamma, loops[i]), base.inverses[gamma])
         j = self._loop_index[conj]
         arrow = arrows.slot
-        data = tuple(zip(i.tolist(), j.tolist(), gamma.tolist()))
-        self.arrow_data = data
+        self.arrow_data = tuple(zip(i.tolist(), j.tolist(), gamma.tolist()))
         everyone = np.arange(len(loops))
         self.groupoid = ig = FiniteGroupoid(
             len(loops),
@@ -1079,8 +1058,6 @@ class InertiaGroupoid:
             lambda k2, k1: arrow(i[k1], base_at(gamma[k2], gamma[k1])),
             arrow(everyone, base.units[at]),
             arrow(j, base.inverses[gamma]),
-            object_labels=self.loops,
-            arrow_labels=data,
             check=False,
         )
         _derived(ig, base)
@@ -1149,7 +1126,6 @@ def inertia_of_morphism(morphism, inertia_src=None, inertia_dst=None):
         cj,
         lambda k, c: points.slot(left_at(gamma[k], cz[c]), lands[k]),
         lambda c, k: points.slot(right_at(cz[c], eta[k]), ci[c]),
-        labels=zip(ci.tolist(), cz.tolist(), cj.tolist()),
         check=False,
     )
     return _derived(lam, f, g, h, isrc.groupoid, idst.groupoid)
@@ -1214,17 +1190,13 @@ def morita_decompose_inertia(group, num_points, images):
         fixed = [x for x in range(num_points) if images[rep][x] == x]
         if not fixed:
             continue
-        class_elems = set(
-            g for g in range(group.size) if cd.class_of[g] == c
-        )
+        # the loop g * num_points + x belongs to the class of g
         loop_objects = [
-            i
-            for i, loop in enumerate(ig.loops)
-            if base.arrow_labels[loop][0] in class_elems
+            i for i, loop in enumerate(ig.loops) if cd.class_of[loop // num_points] == c
         ]
         piece, piece_incl = ig.groupoid.full_subgroupoid(loop_objects)
         cent = cd.centralizers[c]
-        zg, zg_emb = subgroup_embedding(group, cent)
+        zg, zg_emb = subgroup_embedding(group, cent, check=False)
         fixed_index = {x: k for k, x in enumerate(fixed)}
         model_images = [
             [fixed_index[images[zg_emb.mapping[s]][x]] for x in fixed]
@@ -1258,7 +1230,7 @@ def morita_decompose_inertia(group, num_points, images):
                 for s in range(zg.size)
                 if images[zg_emb.mapping[s]][x] == x
             ]
-            stab, stab_emb = subgroup_embedding(group, stab_elems)
+            stab, stab_emb = subgroup_embedding(group, stab_elems, check=False)
             orbit_model_objs = [fixed_index[y] for y in orbit]
             orbit_piece, orbit_incl = model.full_subgroupoid(orbit_model_objs)
             oarr_index = {a: i for i, a in enumerate(orbit_incl.arr_map)}

@@ -21,7 +21,13 @@ def _check_order(n):
 
 
 class FiniteGroup:
-    """A finite group given by its full multiplication table."""
+    """A finite group given by its full multiplication table.
+
+    ``check=False`` skips the table checks and asserts that ``table`` is
+    a group's, which whatever is built from the group relies on.  In this
+    package only `subgroup_embedding` passes it, on a closed subset of a
+    checked group.
+    """
 
     __slots__ = ("size", "table", "identity", "inverses", "names", "_conj", "_orders")
 
@@ -197,8 +203,10 @@ class FiniteGroup:
     @staticmethod
     def symmetric(n, check=True):
         """S_n on lexicographically sorted permutation labels; identity first."""
+        if n < 0:
+            raise ValueError("symmetric group needs n >= 0")
         # n! >= n, so clamping n past the cap keeps the refusal and its cost low
-        _check_order(math.factorial(min(max(n, 0), MAX_ORDER + 1)))
+        _check_order(math.factorial(min(n, MAX_ORDER + 1)))
         elements = sorted(itertools.permutations(range(n)))
         return FiniteGroup.from_mult(
             elements,
@@ -209,7 +217,10 @@ class FiniteGroup:
 
     @staticmethod
     def dihedral(n, check=True):
-        """Dihedral group of order 2n acting on the n-gon vertices."""
+        """Dihedral group of order 2n acting on the n-gon vertices, n >= 3
+        (for smaller n the two generators are not faithful)."""
+        if n < 3:
+            raise ValueError("dihedral group needs n >= 3")
         rot = tuple((i + 1) % n for i in range(n))
         ref = tuple((n - i) % n for i in range(n))
         g, _ = FiniteGroup.from_generators(n, [rot, ref], check=check)

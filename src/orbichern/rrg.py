@@ -500,12 +500,13 @@ def check_functoriality(emb, cx):
     if cx.group is not emb.target:
         raise ValueError("complex must live over the big group")
     _require_valid(cx)
+    # cx has passed, so its restriction is a complex: no second check
     restricted = EquivariantComplex(
         emb.source,
         cx.min_degree,
         tuple(restrict(emb, p) for p in cx.pieces),
         cx.diffs,
-        check=not cx.validated,
+        check=False,
     )
     lhs = supertrace_class(restricted)
     rhs = restricted_character(emb, supertrace_class(cx))

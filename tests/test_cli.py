@@ -352,6 +352,27 @@ def test_load_caps_group_order_before_building(tmp_path, capsys):
     assert parse_scenario({"groups": {"G": {"cyclic": 48}}}).groups["G"].size == 48
 
 
+@pytest.mark.parametrize(
+    "body,message,pointer",
+    [
+        ({"dihedral": 2}, "dihedral group needs n >= 3", "/groups/G/dihedral"),
+        ({"dihedral": -4}, "dihedral group needs n >= 3", "/groups/G/dihedral"),
+        ({"symmetric": -3}, "symmetric group needs n >= 0", "/groups/G/symmetric"),
+        ({"cyclic": 0}, "group order must be between 1 and 48", "/groups/G/cyclic"),
+    ],
+    ids=["D2", "D-4", "S-3", "C0"],
+)
+def test_load_refuses_a_degenerate_group_order_at_its_field(tmp_path, capsys, body, message,
+                                                            pointer):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"groups": {"G": body}}))
+    code = main(["inertia", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "load error: %s (at %s)\n" % (message, pointer)
+
+
 def test_load_quaternion_group():
     q8 = parse_scenario({"groups": {"Q": {"quaternion": True}}}).groups["Q"]
     assert q8.size == 8 and not q8.is_abelian()

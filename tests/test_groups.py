@@ -59,6 +59,26 @@ def test_quaternion_and_dihedral():
     assert conjugacy(d4).num_classes() == 5
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: FiniteGroup.dihedral(2), "dihedral group needs n >= 3"),
+        (lambda: FiniteGroup.dihedral(1), "dihedral group needs n >= 3"),
+        (lambda: FiniteGroup.dihedral(0), "dihedral group needs n >= 3"),
+        (lambda: FiniteGroup.symmetric(-3), "symmetric group needs n >= 0"),
+    ],
+    ids=["D2", "D1", "D0", "S-3"],
+)
+def test_small_dihedral_and_negative_symmetric_are_refused(build, message):
+    """The 2-gon's rotation and reflection generate only C2, not the Klein
+    four-group, so below n = 3 a 'dihedral' group would have the wrong
+    order; S_n for n < 0 is no group at all."""
+    with pytest.raises(ValueError, match="^%s$" % message):
+        build()
+    assert FiniteGroup.dihedral(3).size == 6
+    assert FiniteGroup.symmetric(0).size == 1
+
+
 def test_direct_product():
     g = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4))
     assert g.size == 8

@@ -10,6 +10,7 @@ consumed, and the counting cases that consumers skip flagged objects
 while an explicit ``validate()`` always runs.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -33,7 +34,9 @@ from orbichern.groupoids import (
     FiniteGroupoid,
     GeneralizedMorphism,
     StrictFunctor,
+    classify_embedding,
     factorize,
+    find_isomorphism,
     inertia,
     inertia_of_morphism,
     morita_decompose_inertia,
@@ -140,13 +143,20 @@ def test_trusted_complex_constructors(name):
     audited(mapping_cone(phi))
 
 
+def regular(group):
+    """The regular action of ``group`` on itself, ``g . x = g x``."""
+    return [list(row) for row in group.table]
+
+
 def groupoid_outputs(group, sub, emb):
     """Every trusted groupoid constructor once, on the pair pt/H -> pt/G."""
     pt_sub = FiniteGroupoid.from_group(sub)
     pt_grp = FiniteGroupoid.from_group(group)
     functor = StrictFunctor(pt_sub, pt_grp, [0], list(emb.mapping))
-    assert pt_sub.validated and pt_grp.validated and functor.validated
-    out = [FiniteGroupoid.product(pt_sub, pt_grp)]
+    assert functor.validated
+    out = [pt_sub, pt_grp, FiniteGroupoid.product(pt_sub, pt_grp)]
+    for g in (sub, group):
+        out.append(FiniteGroupoid.translation(g, g.size, regular(g)))
     out.append(StrictFunctor.identity(pt_grp))
     out.append(functor.then(out[-1]))
     bibundle = GeneralizedMorphism.from_functor(functor)
@@ -171,6 +181,57 @@ def test_trusted_groupoid_constructors(name):
     for sub, emb in pairs(group):
         for obj in groupoid_outputs(group, sub, emb):
             audited(obj)
+
+
+def single_entry_mutants(images):
+    """``images`` with one entry replaced by another point, or by the one
+    index past the last point."""
+    p = len(images[0])
+    for g, row in enumerate(images):
+        for x, y in enumerate(row):
+            for z in range(p + 1):
+                if z != y:
+                    mutant = [list(r) for r in images]
+                    mutant[g][x] = z
+                    yield mutant
+
+
+def row_swaps(images):
+    """``images`` with two entries of one row exchanged: every row stays a
+    permutation, so these mutants reach the identity and composition
+    checks."""
+    for g, row in enumerate(images):
+        for x in range(len(row)):
+            for y in range(x + 1, len(row)):
+                mutant = [list(r) for r in images]
+                mutant[g][x], mutant[g][y] = row[y], row[x]
+                yield mutant
+
+
+@pytest.mark.parametrize("name", ("S3", "Q8"))
+def test_translation_refuses_or_builds_a_valid_groupoid(name):
+    """Every single-entry mutant and every row swap of the natural and
+    regular actions either fails the action checks of `translation` or
+    gives a groupoid that passes its full check: those checks are what
+    the flag relies on."""
+    group = make_group(name)
+    actions = [regular(group)]
+    if name == "S3":
+        actions.append(action(group))
+    built, refusals = 0, []
+    for images in actions:
+        for mutant in itertools.chain(single_entry_mutants(images), row_swaps(images)):
+            try:
+                groupoid = FiniteGroupoid.translation(group, len(mutant[0]), mutant)
+            except ValueError as exc:
+                refusals.append(str(exc))
+            else:
+                audited(groupoid)
+                built += 1
+    # 270 and 512 single-entry mutants, 108 and 224 row swaps
+    assert built + len(refusals) == {"S3": 378, "Q8": 736}[name]
+    assert all(m.startswith("not an action: ") for m in refusals)
+    assert any(m.startswith("not an action: composition fails") for m in refusals)
 
 
 @pytest.mark.parametrize("name", GROUPS)
@@ -304,6 +365,15 @@ def test_require_valid_skips_flagged_objects(monkeypatch, s3_pair):
     assert cx_calls[-1] is unflagged
 
 
+def test_functoriality_validates_an_unflagged_complex_once(monkeypatch, s3_pair):
+    s3, _, emb = s3_pair
+    big = two_term(s3)
+    unflagged = EquivariantComplex(s3, 0, big.pieces, big.diffs, check=False)
+    cx_calls = count_calls(monkeypatch, EquivariantComplex)
+    assert rrg.check_functoriality(emb, unflagged).passed
+    assert cx_calls == [unflagged]
+
+
 def test_is_morita_skips_flagged_bibundles(monkeypatch):
     q8 = FiniteGroup.quaternion()
     pt = FiniteGroupoid.from_group(q8)
@@ -321,26 +391,23 @@ def test_is_morita_skips_flagged_bibundles(monkeypatch):
 
 
 def test_embedding_pipeline_checks_no_bibundle(monkeypatch, s3_pair):
-    """From checked groupoids and functor on, the calculus of the
-    ``groupoid_embeddings`` benchmark item checks no bibundle again."""
+    """From the checked groups on, one ``groupoid_embeddings`` benchmark
+    item checks no groupoid and no bibundle: `from_group` and
+    `translation` are trusted, and the calculus derives everything else."""
     s3, sub, emb = s3_pair
-    pt_sub, pt_grp = FiniteGroupoid.from_group(sub), FiniteGroupoid.from_group(s3)
-    functor = StrictFunctor(pt_sub, pt_grp, [0], list(emb.mapping))
     calls = count_calls(monkeypatch, GeneralizedMorphism)
     groupoid_calls = count_calls(monkeypatch, FiniteGroupoid)
+    pt_sub, pt_grp = FiniteGroupoid.from_group(sub), FiniteGroupoid.from_group(s3)
+    functor = StrictFunctor(pt_sub, pt_grp, [0], list(emb.mapping))
     bibundle = GeneralizedMorphism.from_functor(functor)
-    bibundle.graph()
+    assert classify_embedding(bibundle.graph()).embedding
     first, second = factorize(bibundle)
-    first.compose(second)
+    assert find_isomorphism(first.compose(second), bibundle) is not None
     inertia_of_morphism(bibundle)
+    assert calls == [] and groupoid_calls == []
     comps = morita_decompose_inertia(s3, 3, action(s3))
     assert all(comp.equivalence.is_morita() for comp in comps)
-    assert calls == []
-    # the checked groupoids are the boundary ones of the Morita
-    # decomposition: the translation groupoid, one model per component
-    # and one point groupoid per point model; every other one is derived
-    boundary = 1 + len(comps) + sum(len(comp.point_models) for comp in comps)
-    assert len(groupoid_calls) == boundary
+    assert calls == [] and groupoid_calls == []
 
 
 # -- flags cannot go stale --------------------------------------------------
