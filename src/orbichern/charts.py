@@ -12,7 +12,7 @@ Koszul series consume.
 from __future__ import annotations
 
 from .exactnum import Cyclotomic
-from .linalg import Matrix
+from .linalg import Matrix, restricted_action
 from .reps import Representation
 
 __all__ = [
@@ -122,37 +122,44 @@ def fixed_subspace(chart: LinearChart, g) -> Matrix:
 def eigen_decomposition(chart: LinearChart, g, with_bases=True) -> EigenData:
     """Eigenvalues of rho(g) among the m-th roots of unity, m = order of g.
 
-    Multiplicity of zeta_m^j is dim ker(rho(g) - zeta_m^j); the
-    multiplicities always sum to the ambient dimension because the
-    operator has finite order.
+    Multiplicity of zeta_m^j is dim ker(rho(g) - zeta_m^j), the number of
+    columns without a pivot; the multiplicities always sum to the ambient
+    dimension because the operator has finite order, so the search stops
+    once they do.  Without bases each root costs one forward elimination.
     """
     rho = chart.action.mats[g]
     m = chart.group.order_of(g)
-    ident = Matrix.identity(chart.dim)
+    n = chart.dim
     entries = []
     bases = []
+    total = 0
     for j in range(m):
+        if total == n:
+            break
         zeta = Cyclotomic.root_of_unity(m, j)
-        ker = (rho - ident.scale(zeta)).kernel()
-        if ker.ncols:
-            entries.append((zeta, ker.ncols))
-            bases.append(ker)
-    data = EigenData(entries, bases if with_bases else None)
-    if data.total() != chart.dim:
-        raise ArithmeticError(
-            "eigenvalue multiplicities sum to %d, dimension is %d"
-            % (data.total(), chart.dim)
+        minus = -zeta
+        shifted = Matrix._trusted(
+            tuple(
+                tuple(e + minus if c == r else e for c, e in enumerate(row))
+                for r, row in enumerate(rho.rows)
+            ),
+            n,
         )
-    return data
-
-
-def _check_preserved(basis: Matrix, mat: Matrix, what: str):
-    if basis.ncols == 0:
-        return
-    try:
-        basis.solve(mat * basis)
-    except ValueError:
-        raise ArithmeticError("%s does not preserve the fixed subspace" % what)
+        if with_bases:
+            basis = shifted.kernel()
+            mult = basis.ncols
+            if mult:
+                bases.append(basis)
+        else:
+            mult = n - shifted.rank()
+        if mult:
+            entries.append((zeta, mult))
+            total += mult
+    if total != n:
+        raise ArithmeticError(
+            "eigenvalue multiplicities sum to %d, dimension is %d" % (total, n)
+        )
+    return EigenData(entries, bases if with_bases else None)
 
 
 def inertia_data(chart: LinearChart) -> list:
@@ -177,10 +184,16 @@ def inertia_data(chart: LinearChart) -> list:
             else:
                 normal_entries.append((zeta, m))
                 normal_bases.append(basis)
+        # a kernel basis: each column's lead row is its last nonzero row
+        lead = tuple(
+            max(r for r, row in enumerate(fixed.rows) if any(row[i].num))
+            for i in range(fixed.ncols)
+        )
         for z in cd.centralizers[c]:
-            _check_preserved(
-                fixed, chart.action.mats[z], "centralizer element %d" % z
-            )
+            if restricted_action(chart.action.mats[z], fixed, lead) is None:
+                raise ArithmeticError(
+                    "centralizer element %d does not preserve the fixed subspace" % z
+                )
         normal = EigenData(normal_entries, normal_bases)
         out.append(InertiaComponent(chart, c, g, cd.centralizers[c], fixed, normal))
     return out

@@ -13,8 +13,7 @@ sends zeta_n to exp(2*pi*i/n).
 
 from __future__ import annotations
 
-from .exactnum import Cyclotomic
-from .linalg import Matrix, block, kernel_of_rref
+from .linalg import Matrix, block, kernel_of_rref, restricted_action
 from .reps import (
     Representation,
     VirtualCharacter,
@@ -82,8 +81,9 @@ class EquivariantComplex(_Flagged):
 
     def validate(self):
         """Check d o d = 0 at every degree, then equivariance of every
-        differential at every group element; raise ValueError at the first
-        violation, else return True."""
+        differential at every group element, then each piece that is not
+        flagged as validated; raise ValueError at the first violation,
+        else return True."""
         for k in range(len(self.diffs) - 1):
             if not (self.diffs[k + 1] * self.diffs[k]).is_zero():
                 raise ValueError("d o d is nonzero from degree %d" % (self.min_degree + k))
@@ -95,6 +95,9 @@ class EquivariantComplex(_Flagged):
                         "differential at degree %d is not equivariant at element %d"
                         % (self.min_degree + k, x)
                     )
+        for p in self.pieces:
+            if not p.validated:
+                p.validate()
         return True
 
     def supertrace_class(self) -> VirtualCharacter:
@@ -116,34 +119,42 @@ def supertrace_class(c) -> VirtualCharacter:
     return c.supertrace_class()
 
 
-def _action_trace(basis, action_matrix):
-    """Trace of the action restricted to the span of the basis columns."""
-    if basis.ncols == 0:
-        return Cyclotomic.from_rational(0)
-    return basis.solve(action_matrix * basis).trace()
-
-
 def cohomology(c) -> list:
     """Characters of ker d_k / im d_{k-1}, one per stored degree.
 
     The kernel and image are preserved by the action, so the class of
-    H^k is char(ker d_k) - char(im d_{k-1}), each computed by solving
-    for the action on a canonical basis.
+    H^k is char(ker d_k) - char(im d_{k-1}), each the trace of the action
+    on a reduced basis (see `restricted_action`): the kernel basis of the
+    RREF of d_k, led by its free columns, and the transposed nonzero rows
+    of the RREF of d_{k-1}^T, led by their pivots.  Two reductions per
+    degree and none per class; a class that does not preserve one of the
+    subspaces raises ValueError naming the degree, the class and the
+    subspace.
     """
     cd = c.group.conjugacy()
     out = []
-    image = Matrix.zero(c.piece(c.min_degree).dim, 0)
+    image, image_lead = Matrix.zero(c.piece(c.min_degree).dim, 0), ()
     for k in c.degrees():
         dk = c.differential(k)
         red, pivots = dk.rref()
-        kernel = kernel_of_rref(red, pivots)
+        free = tuple(f for f in range(dk.ncols) if f not in pivots)
+        spaces = (("kernel", kernel_of_rref(red, pivots), free), ("image", image, image_lead))
+        piece = c.piece(k)
         values = []
-        for g in cd.reps:
-            act = c.piece(k).mats[g]
-            values.append(_action_trace(kernel, act) - _action_trace(image, act))
-        out.append(VirtualCharacter(c.group, values))
-        # the one reduction of d_k also gives the image at degree k + 1
-        image = dk.submatrix(range(dk.nrows), pivots)
+        for cls, g in enumerate(cd.reps):
+            traces = []
+            for name, basis, lead in spaces:
+                x = restricted_action(piece.mats[g], basis, lead)
+                if x is None:
+                    raise ValueError(
+                        "degree %d: class %d does not preserve the %s" % (k, cls, name)
+                    )
+                traces.append(x.trace())
+            values.append(traces[0] - traces[1])
+        out.append(VirtualCharacter._trusted(c.group, tuple(values)))
+        if k < c.max_degree:
+            red, image_lead = dk.transpose().rref()
+            image = red.submatrix(range(len(image_lead)), range(red.ncols)).transpose()
     return out
 
 

@@ -11,8 +11,9 @@ exponents modulo n, rewrite through Phi_n), `_conv` (the one
 convolution, with `_mul_rows` its matrix form for a repeated factor),
 `_galois` (zeta_n -> zeta_n^k on a numerator), `_lift_num`
 (zeta_n -> zeta_m^(m/n) on a numerator) and `_make` (one gcd to lowest
-terms), which `series` uses as well; and `_gauss_jordan`, the one exact
-elimination and its pivot rule, which every `linalg.Matrix` reduction and
+terms), which `series` uses as well; and the one exact elimination, a
+forward pass `_forward_eliminate` that holds the pivot rule and a back
+pass `_back_eliminate`, which every `linalg.Matrix` reduction and
 `descend` run through.  The inverse is a norm: num times the product of
 its other Galois conjugates is an integer.  Fraction is left only at the
 input boundary and in the coordinates built on request (`coeffs`).
@@ -204,13 +205,15 @@ def canonicalize(order: int, coeffs) -> tuple:
     return tuple(Fraction(x, den) for x in num)
 
 
-def _gauss_jordan(rows, ncols):
-    """Reduce rows, a list of lists of Cyclotomic values, to RREF in place.
+def _forward_eliminate(rows, ncols):
+    """Bring rows, a list of lists of Cyclotomic values, to echelon form in place.
 
     The pivot rule: the first nonzero entry (smallest row index) in the
-    leftmost unfinished column, so the reduced form and its pivots are
-    canonical for a given input.  Returns (pivot columns, pivot values as
-    met, row-swap count): a square matrix of full rank has determinant
+    leftmost unfinished column, so the echelon form and its pivots are
+    canonical for a given input.  Each pivot row is scaled to lead with 1
+    and cleared below its pivot; pivot i ends in row i.  Returns (pivot
+    columns, pivot values as met, row-swap count): the rank is the number
+    of pivots, and a square matrix of full rank has determinant
     (-1)^swaps times the product of the pivot values.
     """
     nrows = len(rows)
@@ -234,16 +237,31 @@ def _gauss_jordan(rows, ncols):
         inv = p.inverse()
         prow = rows[pr] = [e * inv for e in rows[pr]]
         live = [j for j, e in enumerate(prow) if any(e.num)]
-        for r in range(nrows):
+        for r in range(pr + 1, nrows):
             row = rows[r]
             f = row[col]
-            if r != pr and any(f.num):
+            if any(f.num):
                 for j in live:
                     row[j] = row[j] - f * prow[j]
         pivots.append(col)
         values.append(p)
         pr += 1
     return pivots, values, swaps
+
+
+def _back_eliminate(rows, pivots):
+    """Clear above each pivot of an echelon form left by `_forward_eliminate`,
+    last pivot first, which leaves the reduced row echelon form in place."""
+    for i in range(len(pivots) - 1, 0, -1):
+        prow = rows[i]
+        col = pivots[i]
+        live = [j for j, e in enumerate(prow) if any(e.num)]
+        for r in range(i):
+            row = rows[r]
+            f = row[col]
+            if any(f.num):
+                for j in live:
+                    row[j] = row[j] - f * prow[j]
 
 
 class Cyclotomic:
@@ -447,9 +465,10 @@ class Cyclotomic:
             [_make(1, (c[i],), 1) for c in cols] + [_make(1, (x,), 1)]
             for i, x in enumerate(self.num)
         ]
-        pivots = _gauss_jordan(rows, phi + 1)[0]
+        pivots = _forward_eliminate(rows, phi + 1)[0]
         if pivots[-1] == phi:
             return None
+        _back_eliminate(rows, pivots)
         # the lift is injective, so every coordinate is a pivot
         sol = [row[phi] for row in rows[:phi]]
         den = math.lcm(*(v.den for v in sol))

@@ -328,7 +328,9 @@ def centralizer(group, a):
 class GroupEmbedding:
     """An injective homomorphism source -> target, as an index map."""
 
-    __slots__ = ("source", "target", "mapping", "preimage", "_cosets", "_fusion")
+    __slots__ = (
+        "source", "target", "mapping", "preimage", "_cosets", "_fusion", "_landings"
+    )
 
     def __init__(self, source, target, mapping, check=True):
         mapping = tuple(mapping)
@@ -353,6 +355,7 @@ class GroupEmbedding:
         self.preimage = {t: s for s, t in enumerate(mapping)}
         self._cosets = None
         self._fusion = None
+        self._landings = None
 
     @property
     def index(self):
@@ -389,6 +392,28 @@ class GroupEmbedding:
                 self, to_target, tuple(tuple(f) for f in fibers)
             )
         return self._fusion
+
+    def landings(self) -> tuple:
+        """Per class of the target, with representative h: per class of the
+        source, the number of x in the target with x^-1 h x in the image of
+        that class.  One walk of the target per class, read from the tables
+        alone: no centralizer order and no fusion."""
+        if self._landings is None:
+            t = self.target
+            table, inverses = t.table, t.inverses
+            image = self.preimage
+            cg = self.source.conjugacy()
+            class_of = cg.class_of
+            out = []
+            for h in t.conjugacy().reps:
+                counts = [0] * cg.num_classes()
+                for x in range(t.size):
+                    s = image.get(table[table[inverses[x]][h]][x])
+                    if s is not None:
+                        counts[class_of[s]] += 1
+                out.append(tuple(counts))
+            self._landings = tuple(out)
+        return self._landings
 
 
 class FusionData:

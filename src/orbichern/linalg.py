@@ -1,14 +1,16 @@
 """Dense exact linear algebra over cyclotomic scalars.
 
 Everything is deterministic: every row reduction runs through
-`exactnum._gauss_jordan`, which holds the pivot rule (the first nonzero
-entry, smallest row index, in the leftmost unfinished column), so bases
-of kernels and column spaces are canonical for a given input matrix.
+`exactnum._forward_eliminate`, which holds the pivot rule (the first
+nonzero entry, smallest row index, in the leftmost unfinished column), so
+bases of kernels and column spaces are canonical for a given input
+matrix.  `rank` and `det` stop after that forward pass; `rref` adds the
+back pass `exactnum._back_eliminate`.
 """
 
 from __future__ import annotations
 
-from .exactnum import Cyclotomic, _coerce, _gauss_jordan
+from .exactnum import Cyclotomic, _back_eliminate, _coerce, _forward_eliminate, _new
 
 
 def cyc(x) -> Cyclotomic:
@@ -41,20 +43,27 @@ class Matrix:
         self.ncols = ncols
 
     @staticmethod
+    def _trusted(rows, ncols) -> "Matrix":
+        """A Matrix over rows built in this package: a tuple of tuples of
+        ncols Cyclotomic values each.  No copy, coercion or shape check."""
+        m = _new(Matrix)
+        m.nrows = len(rows)
+        m.ncols = ncols
+        m.rows = rows
+        return m
+
+    @staticmethod
     def from_rows(rows, ncols=None) -> "Matrix":
         return Matrix(tuple(tuple(cyc(e) for e in r) for r in rows), ncols=ncols)
 
     @staticmethod
     def zero(nrows, ncols) -> "Matrix":
-        return Matrix(((_C0,) * ncols,) * nrows, ncols=ncols)
+        return Matrix._trusted(((_C0,) * ncols,) * nrows, ncols)
 
     @staticmethod
     def identity(n) -> "Matrix":
-        return Matrix(
-            tuple(
-                tuple(_C1 if i == j else _C0 for j in range(n)) for i in range(n)
-            ),
-            ncols=n,
+        return Matrix._trusted(
+            tuple(tuple(_C1 if i == j else _C0 for j in range(n)) for i in range(n)), n
         )
 
     def shape(self):
@@ -82,27 +91,23 @@ class Matrix:
     def __add__(self, other):
         if self.shape() != other.shape():
             raise ValueError("shape mismatch in addition")
-        return Matrix(
+        return Matrix._trusted(
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
             ),
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix(
-            tuple(tuple(-e for e in r) for r in self.rows), ncols=self.ncols
-        )
+        return Matrix._trusted(tuple(tuple(-e for e in r) for r in self.rows), self.ncols)
 
     def scale(self, c) -> "Matrix":
         c = cyc(c)
-        return Matrix(
-            tuple(tuple(c * e for e in r) for r in self.rows), ncols=self.ncols
-        )
+        return Matrix._trusted(tuple(tuple(c * e for e in r) for r in self.rows), self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -120,15 +125,15 @@ class Matrix:
                         if not b.is_zero():
                             row[j] = row[j] + a * b
             out.append(tuple(row))
-        return Matrix(tuple(out), ncols=other.ncols)
+        return Matrix._trusted(tuple(out), other.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
+        return Matrix._trusted(
             tuple(
                 tuple(self.rows[i][j] for i in range(self.nrows))
                 for j in range(self.ncols)
             ),
-            ncols=self.nrows,
+            self.nrows,
         )
 
     def trace(self) -> Cyclotomic:
@@ -150,33 +155,34 @@ class Matrix:
                     else:
                         row.extend([a * b for b in rb])
                 out.append(tuple(row))
-        return Matrix(tuple(out), ncols=self.ncols * other.ncols)
+        return Matrix._trusted(tuple(out), self.ncols * other.ncols)
 
     def column(self, j) -> tuple:
         return tuple(self.rows[i][j] for i in range(self.nrows))
 
     def submatrix(self, rows, cols) -> "Matrix":
-        return Matrix(
-            tuple(tuple(self.rows[i][j] for j in cols) for i in rows),
-            ncols=len(cols),
+        return Matrix._trusted(
+            tuple(tuple(self.rows[i][j] for j in cols) for i in rows), len(cols)
         )
 
     def hstack(self, other) -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix(
+        return Matrix._trusted(
             tuple(ra + rb for ra, rb in zip(self.rows, other.rows)),
-            ncols=self.ncols + other.ncols,
+            self.ncols + other.ncols,
         )
 
     def rref(self):
         """Reduced row echelon form and the pivot column indices."""
         rows = [list(r) for r in self.rows]
-        pivots = _gauss_jordan(rows, self.ncols)[0]
-        return Matrix(tuple(map(tuple, rows)), ncols=self.ncols), tuple(pivots)
+        pivots = _forward_eliminate(rows, self.ncols)[0]
+        _back_eliminate(rows, pivots)
+        return Matrix._trusted(tuple(map(tuple, rows)), self.ncols), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The number of pivots of the forward pass alone."""
+        return len(_forward_eliminate([list(r) for r in self.rows], self.ncols)[0])
 
     def kernel(self) -> "Matrix":
         """Matrix whose columns span the kernel (canonical basis)."""
@@ -202,13 +208,14 @@ class Matrix:
         for i, p in enumerate(pivots):
             for j in range(rhs.ncols):
                 xrows[p][j] = red.rows[i][self.ncols + j]
-        return Matrix(tuple(tuple(r) for r in xrows), ncols=rhs.ncols)
+        return Matrix._trusted(tuple(map(tuple, xrows)), rhs.ncols)
 
     def det(self) -> Cyclotomic:
-        """(-1)^swaps times the product of the pivots; 0 below full rank."""
+        """(-1)^swaps times the product of the pivots of the forward pass;
+        0 below full rank."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        pivots, values, swaps = _gauss_jordan([list(r) for r in self.rows], self.ncols)
+        pivots, values, swaps = _forward_eliminate([list(r) for r in self.rows], self.ncols)
         if len(pivots) < self.nrows:
             return _C0
         acc = _C1
@@ -230,7 +237,13 @@ class Matrix:
 
 
 def kernel_of_rref(red, pivots) -> Matrix:
-    """The canonical kernel basis read off a reduced form and its pivots."""
+    """The canonical kernel basis read off a reduced form and its pivots.
+
+    Column i is 1 at the i-th free (non-pivot) column f and 0 at the other
+    free columns; its other entries sit at pivots left of f.  The free
+    columns are thus its lead rows for `restricted_action`, and each is
+    the last nonzero row of its column.
+    """
     n = red.ncols
     pivset = set(pivots)
     cols = []
@@ -242,7 +255,31 @@ def kernel_of_rref(red, pivots) -> Matrix:
         for i, p in enumerate(pivots):
             v[p] = -red.rows[i][f]
         cols.append(v)
-    return Matrix(tuple(tuple(c[i] for c in cols) for i in range(n)), ncols=len(cols))
+    return Matrix._trusted(tuple(tuple(c[i] for c in cols) for i in range(n)), len(cols))
+
+
+def restricted_action(mat, basis, lead):
+    """X with mat * basis == basis * X, or None when mat does not map the
+    span of the basis columns into itself.
+
+    Row lead[i] of the basis must be the unit row e_i, as at the free
+    columns of a `kernel_of_rref` basis or at the pivots of a reduced row
+    space: X is then mat * basis read at the lead rows, and only the
+    other rows of basis * X need computing and comparing.
+    """
+    if not basis.ncols:
+        return Matrix._trusted((), 0)
+    image = (mat * basis).rows
+    xrows = [image[r] for r in lead]
+    for q in set(range(basis.nrows)).difference(lead):
+        want = [_C0] * basis.ncols
+        for b, xrow in zip(basis.rows[q], xrows):
+            if any(b.num):
+                for j, x in enumerate(xrow):
+                    want[j] = want[j] + b * x
+        if image[q] != tuple(want):
+            return None
+    return Matrix._trusted(tuple(xrows), basis.ncols)
 
 
 def block(grid, row_dims, col_dims) -> Matrix:
@@ -261,4 +298,4 @@ def block(grid, row_dims, col_dims) -> Matrix:
                 for r, prow in zip(rows, piece.rows):
                     r.extend(prow)
         out.extend(tuple(r) for r in rows)
-    return Matrix(tuple(out), ncols=sum(col_dims))
+    return Matrix._trusted(tuple(out), sum(col_dims))

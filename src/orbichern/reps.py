@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exactnum import Cyclotomic
+from .exactnum import Cyclotomic, _new
 from .linalg import Matrix, cyc
 
 _EXTERIOR_CAP = 12
@@ -199,7 +199,7 @@ def induced_matrix(emb, rep, h) -> Matrix:
             row = rows[i * d + r]
             for c in range(d):
                 row[j * d + c] = mrow[c]
-    return Matrix(tuple(tuple(r) for r in rows), ncols=index * d)
+    return Matrix._trusted(tuple(map(tuple, rows)), index * d)
 
 
 def induce(emb, rep) -> Representation:
@@ -221,6 +221,15 @@ class VirtualCharacter:
         self.group = group
         self.values = values
 
+    @staticmethod
+    def _trusted(group, values) -> "VirtualCharacter":
+        """A character over values built in this package: a tuple of one
+        Cyclotomic per class of group.  No coercion or class-count check."""
+        chi = _new(VirtualCharacter)
+        chi.group = group
+        chi.values = values
+        return chi
+
     def at(self, g) -> Cyclotomic:
         return self.values[self.group.conjugacy().class_of[g]]
 
@@ -230,23 +239,23 @@ class VirtualCharacter:
 
     def __add__(self, other):
         self._same(other)
-        return VirtualCharacter(
+        return VirtualCharacter._trusted(
             self.group, tuple(a + b for a, b in zip(self.values, other.values))
         )
 
     def __sub__(self, other):
         self._same(other)
-        return VirtualCharacter(
+        return VirtualCharacter._trusted(
             self.group, tuple(a - b for a, b in zip(self.values, other.values))
         )
 
     def __neg__(self):
-        return VirtualCharacter(self.group, tuple(-a for a in self.values))
+        return VirtualCharacter._trusted(self.group, tuple(-a for a in self.values))
 
     def __mul__(self, other):
         if isinstance(other, VirtualCharacter):
             self._same(other)
-            return VirtualCharacter(
+            return VirtualCharacter._trusted(
                 self.group, tuple(a * b for a, b in zip(self.values, other.values))
             )
         return VirtualCharacter(self.group, tuple(a * other for a in self.values))
@@ -268,41 +277,33 @@ class VirtualCharacter:
 
 def character(rep) -> VirtualCharacter:
     cd = rep.group.conjugacy()
-    return VirtualCharacter(rep.group, tuple(rep.mats[r].trace() for r in cd.reps))
+    return VirtualCharacter._trusted(rep.group, tuple(rep.mats[r].trace() for r in cd.reps))
 
 
 def induced_character_sum(emb, chi) -> VirtualCharacter:
     """Induced character by the definitional average over the big group.
 
     chi_Ind(h) = (1/|G|) * sum over x in H with x^-1 h x in G of chi(x^-1 h x).
-    The walk still visits every x in H; equal terms are grouped by the
-    class of G that x^-1 h x lands in, so the exact sum has one term per
-    class of G, count times value, instead of one per element of H.
+    Equal terms are grouped by the class of G that x^-1 h x lands in, so
+    the exact sum has one term per class of G, count times value.  The
+    counts come from `GroupEmbedding.landings`, one walk of H per
+    embedding, which reads no centralizer order and no fusion.
     """
-    g, t = emb.source, emb.target
-    image = emb.preimage
-    table, inverses = t.table, t.inverses
-    class_of = g.conjugacy().class_of
-    inv_order = Fraction(1, g.size)
+    inv_order = Fraction(1, emb.source.size)
     values = []
-    for h in t.conjugacy().reps:
-        counts = [0] * len(chi.values)
-        for x in range(t.size):
-            s = image.get(table[table[inverses[x]][h]][x])
-            if s is not None:
-                counts[class_of[s]] += 1
+    for counts in emb.landings():
         acc = Cyclotomic.zero()
         for value, k in zip(chi.values, counts):
             if k:
                 acc = acc + value * k
         values.append(acc * inv_order)
-    return VirtualCharacter(t, values)
+    return VirtualCharacter._trusted(emb.target, tuple(values))
 
 
 def restricted_character(emb, chi) -> VirtualCharacter:
     """Pull a class function on the target back to the source."""
     cd = emb.source.conjugacy()
-    return VirtualCharacter(
+    return VirtualCharacter._trusted(
         emb.source, tuple(chi.at(emb.mapping[r]) for r in cd.reps)
     )
 

@@ -154,3 +154,52 @@ def test_inertia_fixed_basis_is_the_fixed_subspace():
             fixed = fixed_subspace(chart, comp.element)
             assert comp.fixed_dim == fixed.ncols, (name, comp.class_index)
             assert comp.fixed_basis == fixed, (name, comp.class_index)
+
+
+def test_eigen_search_stops_once_the_dimension_is_filled(monkeypatch):
+    """At a generator of C6 on 1 + weight 1 the multiplicities fill the
+    dimension at the second root: two eliminations, not six."""
+    import orbichern.linalg as linalg
+    from orbichern.reps import direct_sum
+
+    calls = []
+    forward = linalg._forward_eliminate
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return forward(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_forward_eliminate", counted)
+    c6 = FiniteGroup.cyclic(6)
+    rep = direct_sum(Representation.trivial(c6), Representation.cyclic_weight(c6, 1))
+    chart = LinearChart(c6, rep)
+    for with_bases in (False, True):
+        calls.clear()
+        data = eigen_decomposition(chart, 1, with_bases=with_bases)
+        assert data.entries == ((E(6, 0), 1), (E(6, 1), 1))
+        assert len(calls) == 2
+    assert [b.ncols for b in data.bases] == [1, 1]
+
+
+def test_eigen_total_check_refuses_an_operator_of_infinite_order():
+    c2 = FiniteGroup.cyclic(2)
+    shear = Matrix.from_rows([[1, 1], [0, 1]])
+    chart = LinearChart(c2, Representation(c2, (Matrix.identity(2), shear), check=False))
+    with pytest.raises(
+        ArithmeticError, match=r"^eigenvalue multiplicities sum to 1, dimension is 2$"
+    ):
+        eigen_decomposition(chart, 1, with_bases=False)
+
+
+def test_inertia_refuses_a_centralizer_that_moves_the_fixed_subspace():
+    """An unchecked action of C4: the swap at 1 fixes e0 + e1, which
+    diag(1, -1) at 2, in its centralizer, does not preserve."""
+    c4 = FiniteGroup.cyclic(4)
+    swap = Matrix.from_rows([[0, 1], [1, 0]])
+    flip = Matrix.from_rows([[1, 0], [0, -1]])
+    eye = Matrix.identity(2)
+    chart = LinearChart(c4, Representation(c4, (eye, swap, flip, eye), check=False))
+    with pytest.raises(
+        ArithmeticError, match=r"^centralizer element 2 does not preserve the fixed subspace$"
+    ):
+        inertia_data(chart)

@@ -197,3 +197,37 @@ def test_complex_check_reports_only_the_first_violation(s3, natural):
     e0 = Matrix.from_rows([[1, 0, 0]])
     with pytest.raises(ValueError, match=r"^d o d is nonzero from degree 0$"):
         EquivariantComplex(s3, 0, (natural, triv, natural), (e0, e0.transpose()))
+
+
+def test_cohomology_reduces_twice_per_degree_and_never_per_class(monkeypatch):
+    import orbichern.linalg as linalg
+
+    calls = []
+    forward = linalg._forward_eliminate
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return forward(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_forward_eliminate", counted)
+    s4 = corpus_groups()["S4"]
+    rng = random.Random(0xC0)
+    for _ in range(3):
+        cx = random_complex(rng, s4, max_dim=3)
+        calls.clear()
+        coh = cohomology(cx)
+        assert len(coh) == len(cx.pieces)
+        assert len(calls) <= 2 * len(cx.pieces)
+
+
+def test_cohomology_refuses_a_subspace_the_action_does_not_preserve():
+    """Unchecked complexes whose differential is not equivariant: the swap
+    moves ker d = span(e1) at degree 0, then im d = span(e0) at degree 1."""
+    c2 = FiniteGroup.cyclic(2)
+    swap = Representation.permutation(c2, [[0, 1], [1, 0]])
+    flat = Representation.trivial(c2, 2)
+    d = Matrix.from_rows([[1, 0], [0, 0]])
+    with pytest.raises(ValueError, match=r"^degree 0: class 1 does not preserve the kernel$"):
+        cohomology(EquivariantComplex(c2, 0, (swap, flat), (d,), check=False))
+    with pytest.raises(ValueError, match=r"^degree 1: class 1 does not preserve the image$"):
+        cohomology(EquivariantComplex(c2, 0, (flat, swap), (d,), check=False))

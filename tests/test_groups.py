@@ -197,3 +197,22 @@ def test_constructors_refuse_an_order_past_the_cap_before_any_table(name):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 1024, peak
+
+
+def test_landings_match_a_brute_force_walk():
+    """`GroupEmbedding.landings` against a walk through the group's own
+    mul and inv, on every subgroup pair of S4, D4 and Q8."""
+    for group in (FiniteGroup.symmetric(4), FiniteGroup.dihedral(4), FiniteGroup.quaternion()):
+        for elems in subgroups(group):
+            sub, emb = subgroup_embedding(group, list(elems))
+            cg = sub.conjugacy()
+            want = []
+            for h in conjugacy(group).reps:
+                counts = [0] * cg.num_classes()
+                for x in group.elements():
+                    y = group.mul(group.mul(group.inv(x), h), x)
+                    if y in emb.mapping:
+                        counts[cg.class_of[emb.mapping.index(y)]] += 1
+                want.append(tuple(counts))
+            assert emb.landings() == tuple(want), (elems,)
+            assert emb.landings() is emb.landings()

@@ -157,3 +157,57 @@ def test_block_assembly():
     assert m.shape() == (3, 3)
     assert m[2, 2] == 5
     assert m[0, 2] == 0
+
+
+def test_rank_is_the_rref_pivot_count_with_row_swaps():
+    """`rank` stops after the forward pass; it must count the same pivots
+    as the full reduction, on inputs whose first pivot needs a row swap."""
+    rng = random.Random(0x4A4C)
+    for order in (1, 5, 12):
+        for nrows, ncols in ((3, 3), (3, 5), (5, 3), (4, 4)):
+            for trial in range(3):
+                rows = [
+                    [Cyclotomic(order, [rng.choice([0, 0, 1, -1, 2]) for _ in range(order)])
+                     for _ in range(ncols)]
+                    for _ in range(nrows)
+                ]
+                rows[0][0] = Cyclotomic.zero()
+                rows[1][0] = Cyclotomic.one()
+                if trial:
+                    rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+                m = Matrix.from_rows(rows)
+                assert m.rank() == len(m.rref()[1]), (order, nrows, ncols, str(m))
+
+
+def test_trusted_results_equal_public_constructions():
+    """What the package builds through `Matrix._trusted` is what the
+    public constructor builds from the same rows: tuples of ncols
+    Cyclotomic values each."""
+    rng = random.Random(0x7A5)
+    a = rand_cyclotomic_matrix(rng, 3, 8)
+    b = rand_cyclotomic_matrix(rng, 3, 12)
+    built = [
+        a + b,
+        -a,
+        a - b,
+        a * b,
+        a.scale(E(3)),
+        a.transpose(),
+        a.kron(b),
+        a.hstack(b),
+        a.submatrix((0, 2), (1,)),
+        a.rref()[0],
+        a.solve(b),
+        (a.hstack(a)).kernel(),
+        Matrix.identity(3),
+        Matrix.zero(2, 3),
+        Matrix.zero(3, 0),
+        block([[a, None], [None, b]], [3, 3], [3, 3]),
+    ]
+    for m in built:
+        public = Matrix(m.rows, ncols=m.ncols)
+        assert m == public and m.shape() == public.shape()
+        assert type(m.rows) is tuple and len(m.rows) == m.nrows
+        for r in m.rows:
+            assert type(r) is tuple and len(r) == m.ncols
+            assert all(type(e) is Cyclotomic for e in r)

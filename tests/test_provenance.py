@@ -465,3 +465,29 @@ def test_rebinding_a_complex_or_chain_map_slot_clears_the_flag(s3_pair):
     assert ident.validated
     ident.mats = (Matrix.from_rows([[2]]),)
     assert not ident.validated
+
+
+def test_complex_check_covers_unflagged_pieces(s3_pair):
+    s3, sub, _ = s3_pair
+    with pytest.raises(ValueError, match=r"^multiplicativity fails at pair"):
+        EquivariantComplex(s3, 0, (non_homomorphism(s3),), ())
+    plain = Representation.one_dimensional(sub, [1, -1], check=False)
+    assert EquivariantComplex(sub, 0, (plain,), ()).validated
+
+
+def test_workload_shaped_complexes_check_no_piece(monkeypatch, s3_pair):
+    """Complexes built as the subgroup_characters benchmark builds them:
+    unchecked complexes over checked or derived pieces, and the cone of the
+    identity of one.  Their check reads no piece."""
+    s3, sub, emb = s3_pair
+    good = two_term(s3)
+    plain = EquivariantComplex(s3, 0, good.pieces, good.diffs, check=False)
+    induced = induce(emb, Representation.one_dimensional(sub, [1, -1]))
+    line = EquivariantComplex(s3, 0, (induced, induced), (Matrix.identity(3),), check=False)
+    cone = mapping_cone(ChainMap.identity(line))
+    rep_calls = count_calls(monkeypatch, Representation)
+    for cx in (plain, line, cone):
+        assert not cx.validated
+        assert all(p.validated for p in cx.pieces)
+        assert cx.validate() is True
+    assert rep_calls == []

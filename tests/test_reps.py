@@ -316,3 +316,34 @@ def test_validate_catches_a_violation_at_the_last_element_of_order_48():
     # the first pair with product 47 is (1, 46): (0, 47) multiplies correctly
     with pytest.raises(ValueError, match=r"^multiplicativity fails at pair \(1, 46\)$"):
         rep.validate()
+
+
+def test_trusted_characters_equal_public_constructions():
+    """Characters built through `VirtualCharacter._trusted` carry one
+    Cyclotomic per class and equal the public construction."""
+    rng = random.Random(0x7C4)
+    group = corpus_groups()["S4"]
+    sub, emb = subgroup_embedding(group, [x for x in subgroups(group) if len(x) == 4][0])
+    chi, psi = _seeded_class_function(rng, group), _seeded_class_function(rng, group)
+    small = _seeded_class_function(rng, sub)
+    perm = Representation.regular(sub)
+    built = [
+        chi + psi,
+        chi - psi,
+        -chi,
+        chi * psi,
+        character(perm),
+        character(induce(emb, perm)),
+        restricted_character(emb, chi),
+        induced_character_sum(emb, small),
+    ]
+    for c in built:
+        public = VirtualCharacter(c.group, c.values)
+        assert c == public
+        assert type(c.values) is tuple
+        assert len(c.values) == c.group.conjugacy().num_classes()
+        assert all(type(v) is Cyclotomic for v in c.values)
+    ind = induce(emb, perm)
+    for h in group.elements():
+        m = induced_matrix(emb, perm, h)
+        assert m == Matrix(m.rows, ncols=m.ncols) == ind.mats[h]
