@@ -189,7 +189,8 @@ class ChainMap(_Flagged):
 
     def validate(self):
         """Check that every slot commutes with the differentials, then
-        that every slot is equivariant at every group element; raise
+        that every slot is equivariant at every group element, then the
+        source and the target if they are not flagged as validated; raise
         ValueError at the first violation, else return True."""
         for k in range(len(self.mats) - 1):
             if self.mats[k + 1] * self.source.diffs[k] != self.target.diffs[k] * self.mats[k]:
@@ -198,6 +199,9 @@ class ChainMap(_Flagged):
             for x in self.source.group.elements():
                 if m * self.source.pieces[k].mats[x] != self.target.pieces[k].mats[x] * m:
                     raise ValueError("not equivariant at slot %d" % k)
+        for cx in (self.source, self.target):
+            if not cx.validated:
+                cx.validate()
         return True
 
     @staticmethod

@@ -8,8 +8,7 @@ denominator `den`, with gcd(den, *num) = 1; zero is (0, ..., 0) over 1.
 The form is canonical, so equality is a tuple comparison.  Every
 operation runs on integers through one private kernel: `_reduce` (fold
 exponents modulo n, rewrite through Phi_n), `_conv` (the one
-convolution, with `_mul_rows` its matrix form for a repeated factor),
-`_galois` (zeta_n -> zeta_n^k on a numerator), `_lift_num`
+convolution), `_galois` (zeta_n -> zeta_n^k on a numerator), `_lift_num`
 (zeta_n -> zeta_m^(m/n) on a numerator) and `_make` (one gcd to lowest
 terms), which `series` uses as well; and the one exact elimination, a
 forward pass `_forward_eliminate` that holds the pivot rule and a back
@@ -128,18 +127,6 @@ def _conv(n, a, b) -> list:
                 if bj:
                     conv[i + j] += ai * bj
     return _reduce(n, conv)
-
-
-@lru_cache(maxsize=256)
-def _mul_rows(n, a) -> tuple:
-    """Rows of the integer matrix of multiplication by the residue a (a tuple).
-
-    Column i is a * zeta^i reduced by `_reduce`, so for any residue b,
-    [sum(map(mul, row, b)) for row in _mul_rows(n, a)] equals
-    `_conv(n, a, b)`.  It pays off for a factor that meets many residues,
-    as a column entry does in `series._expand`.
-    """
-    return tuple(zip(*(_reduce(n, [0] * i + list(a)) for i in range(len(a)))))
 
 
 def _galois(n, num, k) -> list:

@@ -48,9 +48,12 @@ SKIPPED = "skipped"
 
 def _require_valid(obj):
     """Run ``validate()``, which raises at the first violation, unless the
-    object is flagged as validated."""
+    object is flagged as validated; a pass flags it, so the next scenario
+    over the same object skips the check.  Rebinding a slot clears the
+    flag again (`reps._Flagged`)."""
     if not obj.validated:
         obj.validate()
+        obj.validated = True
 
 
 class ClassEntry:

@@ -18,12 +18,12 @@ compares two genuinely independent computational paths.  The subset sum
 is grouped by support: the subset products are summed over supersets
 once, and each monomial scales the sum for its support by its weight.
 The Todd side is an outer product of one-variable columns, expanded by
-a walk that takes the columns with the most irrational entries first and
-writes the last column's monomials in place: a rational column entry
-scales the prefix it meets, and in small fields any other entry
-multiplies it through the entry's integer matrix.  The Euler monomial
-shifts the recorded columns before the walk, so the walk builds no
-monomial past the truncation.
+a walk over direction prefixes: each column entry is an integer times a
+primitive numerator vector, its direction, so one field product serves
+every monomial whose entries share their directions, and each of them
+only scales it by an integer.  The Euler monomial shifts the recorded
+columns before the walk, so the walk builds no monomial past the
+truncation.
 
 Every series is held in one integer form, (n, {exponents: numerator
 vector}, den): every coefficient a nonzero residue of Z[zeta_n] over one
@@ -39,10 +39,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
-from operator import mul
+from math import factorial, gcd, lcm
 
-from .exactnum import Cyclotomic, _conv, _lift_num, _make, _mul_rows, euler_phi
+from .exactnum import Cyclotomic, _conv, _lift_num, _make
 
 __all__ = [
     "GradedSeries",
@@ -75,16 +74,12 @@ def _grlex_key(exps):
 #
 # Bulk series arithmetic stays in the integer form that Cyclotomic stores:
 # every coefficient is lifted into one fixed Q(zeta_n) and scaled to one
-# common denominator, products go through the convolution of exactnum
-# (`_conv`, or its matrix form `_mul_rows` for a repeated factor), and sums
-# are plain integer adds.  The result is kept as the series' integer form;
-# an output monomial becomes a Cyclotomic, by one `_make`, when it is read.
-
-# Largest field degree phi(n) in which `_expand` multiplies through cached
-# matrices: a matrix holds phi^2 integers, so in larger fields the cache
-# would outweigh the series it builds, and building one costs more than the
-# few products it serves there.
-_ROWS_MAX_PHI = 32
+# common denominator, products go through the one convolution of exactnum,
+# `_conv`, and sums are plain integer adds; `_expand` takes each entry's
+# integer gcd out of its vector, so a product of column entries is one
+# `_conv` per direction prefix and one integer scale per monomial.  The
+# result is kept as the series' integer form; an output monomial becomes a
+# Cyclotomic, by one `_make`, when it is read.
 
 
 def _common_order(*value_lists):
@@ -422,69 +417,56 @@ def _expand(num_vars, trunc_degree, factors) -> tuple:
     """The integer form (n, acc, den) of the outer product of factors.
 
     The x^a coefficient is prod_j col_j[a_j], formed over the integers in
-    one Q(zeta_n), each column over its own common denominator: a
-    depth-first walk over the factors keeps each prefix product as one
-    numerator vector, so every monomial extending a prefix shares it, and
-    the last column writes its leaves into acc in place.  The leaves are
-    products of nonzero residues, so none is zero.  Past the first column
-    an entry only multiplies a prefix: a rational entry (its vector zero
-    past index 0) is kept as that integer and scales the prefix, phi
-    multiplications; in fields of degree up to _ROWS_MAX_PHI any other
-    entry multiplies through its integer matrix (`exactnum._mul_rows`,
-    cached per entry), since one entry meets every prefix of the walk.
-    The columns are walked by their count of irrational entries, most
-    first, so the cheap rational products fall on the leaves, where most
-    products are; acc is keyed by exponents, so the order changes no
-    value.
+    one Q(zeta_n), each column over its own common denominator.  Each
+    entry's numerator vector is split as g*w: g the gcd of the vector,
+    signed like its first nonzero entry, and w a primitive direction, so a
+    rational entry is the direction (1, 0, ...).  A column's entries are
+    grouped by direction; an inverted Todd column at zeta != 1 has two,
+    1 - zeta^{-1} at x^0 and zeta^{-1} beyond.  The walk goes breadth first
+    over direction prefixes, one column per variable in order: a prefix
+    holds one vector, the `_conv` of its parent's vector and its own
+    direction, and the monomials that share it as (exponents, integer
+    scale, remaining degree budget).  A leaf writes scale*vector, which is
+    the product of its entries because reduction mod Phi_n is linear; no
+    leaf is zero, since its factors are nonzero residues.  Columns whose
+    entries all differ in direction cost one product per monomial prefix.
     """
     n = _common_order(*(col for _, col in factors))
-    phi = euler_phi(n)
-    by_rows = phi <= _ROWS_MAX_PHI
-    cols = []
+    factors = sorted(factors, key=lambda f: f[0])
+    # the zeros of the variables up to the next column follow each exponent
+    starts = [j for j, _ in factors] + [num_vars]
     den = 1
-    for j, col in factors:
+    cols = []
+    for (j, col), nxt in zip(factors, starts[1:]):
         vecs, cden = _over_common_den(col, n)
-        cols.append((j, [(k, v) for k, v in enumerate(vecs) if any(v)]))
         den *= cden
-    cols.sort(key=lambda c: -sum(1 for _, v in c[1] if any(v[1:])))
-    flat = cols[:1]
-    for j, entries in cols[1:]:
-        ops = []
-        for k, v in entries:
-            if not any(v[1:]):
-                v = v[0]
-            elif by_rows:
-                v = _mul_rows(n, tuple(v))
-            ops.append((k, v))
-        flat.append((j, ops))
-    acc = {}
-    exps = [0] * num_vars
-    last = len(flat) - 1
-
-    def extend(i, budget, vec):
-        j, entries = flat[i]
-        for k, v in entries:
-            if k > budget:
-                break
-            exps[j] = k
-            if not i:
-                prod = v
-            elif type(v) is int:
-                prod = [v * x for x in vec]
-            elif by_rows:
-                prod = [sum(map(mul, row, vec)) for row in v]
-            else:
-                prod = _conv(n, vec, v)
-            if i == last:
-                acc[tuple(exps)] = prod
-            else:
-                extend(i + 1, budget - k, prod)
-        exps[j] = 0
-
-    if flat:
-        extend(0, trunc_degree, None)
-    else:
-        acc[tuple(exps)] = [1]
+        dirs = {}
+        for k, v in enumerate(vecs):
+            if any(v):
+                g = gcd(*v)
+                if next(filter(None, v)) < 0:
+                    g = -g
+                step = (k,) + (0,) * (nxt - j - 1)
+                dirs.setdefault(tuple(x // g for x in v), []).append((step, k, g))
+        cols.append(dirs.items())
+    level = [(None, [((0,) * starts[0], 1, trunc_degree)])]
+    for dirs in cols:
+        grown = []
+        for vec, monos in level:
+            for w, entries in dirs:
+                kids = [
+                    (e + step, s * g, b - k)
+                    for e, s, b in monos
+                    for step, k, g in entries
+                    if k <= b
+                ]
+                if kids:
+                    grown.append((w if vec is None else _conv(n, vec, w), kids))
+        level = grown
+    # with no columns the one leaf is the empty product, 1 in Q (n = 1)
+    acc = {
+        e: [s * x for x in vec or (1,)] for vec, monos in level for e, s, _ in monos
+    }
     return n, acc, den
 
 

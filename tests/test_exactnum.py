@@ -2,7 +2,6 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from operator import mul
 
 import pytest
 
@@ -13,7 +12,6 @@ from orbichern.exactnum import (
     _conv,
     _galois,
     _make,
-    _mul_rows,
     canonicalize,
     cyclotomic_polynomial,
     euler_phi,
@@ -251,10 +249,6 @@ def test_integer_kernel_matches_oracle():
         assert _same(a, oa)
         assert _same(a + b, oa + ob) and _same(a - b, oa - ob)
         assert _same(a * b, oa * ob)
-        m = math.lcm(a.order, b.order)
-        al, bl = a.lift(m), b.lift(m)
-        prod = [sum(map(mul, row, bl.num)) for row in _mul_rows(m, al.num)]
-        assert _same(_make(m, prod, al.den * bl.den), (oa * ob).lift(m))
         assert _same(-a, -oa) and _same(a.conjugate(), oa.conjugate())
         assert (a == b) == (oa == ob) and a == a.lift(a.order * 2)
         m = math.lcm(a.order, 2, 3)

@@ -374,6 +374,44 @@ def test_functoriality_validates_an_unflagged_complex_once(monkeypatch, s3_pair)
     assert cx_calls == [unflagged]
 
 
+def test_require_valid_flags_a_pass(monkeypatch, s3_pair):
+    s3, sub, emb = s3_pair
+    chart = Representation.permutation(s3, action(s3))
+    line = EquivariantComplex.single(Representation.trivial(sub))
+    unflagged = EquivariantComplex(sub, 0, line.pieces, line.diffs, check=False)
+    cx_calls = count_calls(monkeypatch, EquivariantComplex)
+    first = rrg.IsoSpatialScenario(emb, chart, unflagged)
+    assert unflagged.validated and cx_calls == [unflagged]
+    rrg.IsoSpatialScenario(emb, chart, unflagged)
+    assert cx_calls == [unflagged]
+    assert rrg.check_iso_spatial(first).passed
+    # rebinding a slot clears the flag, so the next consumer checks again
+    unflagged.diffs = line.diffs
+    assert not unflagged.validated
+    rrg._require_valid(unflagged)
+    assert unflagged.validated and cx_calls == [unflagged, unflagged]
+    # a failed check leaves the flag unset
+    broken = EquivariantComplex(s3, 0, (non_homomorphism(s3),), (), check=False)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^multiplicativity fails at pair \(1, 2\)$"):
+            rrg._require_valid(broken)
+        assert not broken.validated
+
+
+def test_checked_chain_map_validates_unflagged_complexes(monkeypatch, s3_pair):
+    s3, _, _ = s3_pair
+    src = EquivariantComplex(s3, 0, (non_homomorphism(s3),), (), check=False)
+    with pytest.raises(ValueError, match=r"^multiplicativity fails at pair \(1, 2\)$"):
+        ChainMap(src, src, (Matrix.identity(1),))
+    good = two_term(s3)
+    unflagged = EquivariantComplex(s3, 0, good.pieces, good.diffs, check=False)
+    mats = ChainMap.identity(good).mats
+    cx_calls = count_calls(monkeypatch, EquivariantComplex)
+    assert ChainMap(good, good, mats).validated and cx_calls == []
+    assert ChainMap(unflagged, good, mats).validated and cx_calls == [unflagged]
+    assert ChainMap(good, unflagged, mats).validated and cx_calls == [unflagged] * 2
+
+
 def test_is_morita_skips_flagged_bibundles(monkeypatch):
     q8 = FiniteGroup.quaternion()
     pt = FiniteGroupoid.from_group(q8)

@@ -163,10 +163,10 @@ def _oracle_models():
         # E(15, 0) is 1 stored at order 15: a zeta = 1 line
         ([(E(15, 4), 0), (E(15, 11), 1), (E(15, 0), 2)], 3),
         ([(-1, 0), (E(3, 1), 1), (E(3, 2), 2)], 3),
-        # Q(zeta_77) has degree 60: past _ROWS_MAX_PHI, so convolutions
+        # Q(zeta_77) has degree 60, against 16 for Q(zeta_40)
         ([(E(7, 1), 0), (E(11, 3), 1)], 2),
-        # rational columns scaling there: a zeta = 1 line stored at order 77,
-        # and a -1 line
+        # rational columns there: a zeta = 1 line stored at order 77, and a
+        # -1 line
         ([(E(7, 2), 0), (E(77, 0), 1), (E(11, 5), 2)], 3),
         ([(-1, 0), (E(11, 1), 1), (E(7, 3), 2)], 3),
         # more variables than lines, and lines on permuted variables
@@ -182,8 +182,6 @@ def _oracle_models():
 
 
 def test_todd_outer_product_matches_product_chain():
-    # the oracle models reach both kinds of product in _expand
-    assert euler_phi(40) <= series._ROWS_MAX_PHI < euler_phi(77)
     edge = NormalModel([(1, 0), (1, 1), (-1, 2), (E(12, 5), 3)], 6)
     for model in itertools.chain(_mu12_models(0x70DD, 30), [edge], _oracle_models()):
         r, d = model.num_vars, model.trunc_degree
@@ -230,25 +228,73 @@ def test_shifted_outer_product_stays_an_outer_product():
     assert lineless >= 20
 
 
+def _direction_columns(rng, n, num_vars, d):
+    """Columns on a random, permuted subset of the variables whose entries
+    are rational multiples (negative and zero ones too) of 1 and of two
+    random values of Q(zeta_n); about one column in ten is empty."""
+    root = Cyclotomic.root_of_unity
+    dirs = [Cyclotomic.one()]
+    while len(dirs) < 3:
+        w = sum((root(n, rng.randrange(n)) * rng.randint(-2, 2) for _ in range(3)), root(n, 1))
+        if not w.is_zero():
+            dirs.append(w)
+    cols = []
+    for j in rng.sample(range(num_vars), rng.randint(num_vars // 2, num_vars)):
+        col = [Cyclotomic.zero()] * (d + 1)
+        if rng.random() > 1 / 10:
+            for k in range(d + 1):
+                q = F(rng.randint(-4, 4), rng.randint(1, 3))
+                if q:
+                    w = rng.choice(dirs)
+                    col[k] = Cyclotomic.from_rational(q) if w == 1 else w * q
+        cols.append((j, tuple(col)))
+    return cols
+
+
+def test_expand_matches_product_chain():
+    rng = random.Random(0xD1C)
+    grouped = leaves = 0
+    for n, trials, most_vars in ((1, 40, 4), (4, 40, 4), (12, 40, 4), (40, 25, 4), (77, 12, 3)):
+        for _ in range(trials):
+            num_vars, d = rng.randint(0, most_vars), rng.randint(0, 6)
+            cols = _direction_columns(rng, n, num_vars, d)
+            chain = GradedSeries.one(num_vars, d)
+            for j, col in cols:
+                chain = chain * _axis(num_vars, d, j, col)
+            assert series._expand(num_vars, d, cols) == chain._int_form(), (n, cols)
+            for _, col in cols:
+                # two unequal irrational entries on one direction
+                vals = [c for c in col if c.descend().order > 1]
+                grouped += any(
+                    a != b and (a / b).descend().order == 1
+                    for a, b in itertools.combinations(vals, 2)
+                )
+            leaves += len(chain._int_form()[1])
+    assert grouped >= 50 and leaves >= 700, (grouped, leaves)
+
+
 def test_todd_side_dense_product_counts(monkeypatch):
-    """Scalar multiplications of the matrix products in one identity check:
-    rational entries scale, and the Euler monomial cuts the walk.  Lines
-    (1, 5, 7, 11) are all irrational, so they keep every product."""
+    """Field products (`_conv` calls) of the Todd side in one identity check:
+    one per direction prefix past the first column.  An inverted Todd
+    column at zeta != 1 has two directions, 1 - zeta^{-1} at x^0 and
+    zeta^{-1} beyond; a rational column has one.  Lines (1, 5, 7, 11) are
+    all irrational, so their prefixes number 2 + 4 + 8 + 16."""
     counts = {}
     for combo, want in (
-        ((0, 6, 1, 5), 448),
-        ((0, 0, 3, 4), 448),
-        ((3, 4, 6, 9), 1792),
-        ((1, 5, 7, 11), 5152),
+        ((0, 6, 1, 5), 7),
+        ((0, 0, 3, 4), 7),
+        ((3, 4, 6, 9), 16),
+        ((1, 5, 7, 11), 28),
     ):
         model = NormalModel([(E(12, k), j) for j, k in enumerate(combo)], 6)
         calls = [0]
+        conv = series._conv
 
-        def counting(a, b):
+        def counting(n, a, b):
             calls[0] += 1
-            return a * b
+            return conv(n, a, b)
 
-        monkeypatch.setattr(series, "mul", counting)
+        monkeypatch.setattr(series, "_conv", counting)
         assert zero_section_identity(model).passed
         monkeypatch.undo()
         counts[combo] = (calls[0], want)
