@@ -61,12 +61,6 @@ class EigenData:
     def total(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def multiplicity_of(self, value) -> int:
-        for zeta, m in self.entries:
-            if zeta == value:
-                return m
-        return 0
-
     def eigenvalues(self):
         return [zeta for zeta, _ in self.entries]
 

@@ -21,7 +21,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .exactnum import Cyclotomic
+from .exactnum import Cyclotomic, euler_phi
 from .linalg import Matrix
 from .groups import MAX_ORDER, FiniteGroup, GroupEmbedding, subgroup_embedding
 from .reps import (
@@ -42,6 +42,7 @@ from .groupoids import (
     inertia,
     inertia_of_morphism,
     morita_decompose_inertia,
+    _morita_components,
 )
 from .rrg import (
     GeneralScenario,
@@ -61,6 +62,9 @@ MAX_MONOMIALS = 256
 # caps on one expression: the digits of an integer, the depth of parentheses
 MAX_DIGITS = 1000
 MAX_NESTING = 100
+# cap on the degree phi(L) of the field Q(zeta_L) of one file: L is the lcm
+# of the orders of its values and of the exponents of its represented groups
+MAX_FIELD_DEGREE = 16
 
 # formula knobs: the allowed values, the default first
 _KNOBS = {
@@ -86,13 +90,20 @@ class CycParseError(ValueError):
         self.position = position
 
 
+def _field_fits(order):
+    """Whether Q(zeta_order) has degree at most MAX_FIELD_DEGREE; since
+    phi(n) >= sqrt(n / 2), a larger order is refused before phi runs."""
+    return order <= 2 * MAX_FIELD_DEGREE**2 and euler_phi(order) <= MAX_FIELD_DEGREE
+
+
 class _Scanner:
-    __slots__ = ("text", "pos", "depth")
+    __slots__ = ("text", "pos", "depth", "order")
 
     def __init__(self, text):
         self.text = text
         self.pos = 0
         self.depth = 0
+        self.order = 1  # lcm of the E(n) read so far
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -161,6 +172,12 @@ class _Scanner:
             self.take(")")
             if n < 1:
                 raise CycParseError("E(%d) is not a root of unity" % n, start)
+            order = math.lcm(self.order, n)
+            if not _field_fits(order):
+                raise CycParseError(
+                    "root of unity takes the field past degree %d" % MAX_FIELD_DEGREE, start
+                )
+            self.order = order
             k = 1
             if self.peek() == "^":
                 self.pos += 1
@@ -221,21 +238,34 @@ def _want_int(value, pointer):
     return value
 
 
-def _parse_entry(text, pointer):
+def _widen(sc, order, pointer):
+    """Take ``order`` into the file's field, or refuse it at ``pointer``."""
+    field = math.lcm(sc.field, order)
+    if not _field_fits(field):
+        raise LoadError(
+            "field Q(zeta_%d) exceeds the cap of degree %d" % (field, MAX_FIELD_DEGREE),
+            pointer,
+        )
+    sc.field = field
+
+
+def _parse_entry(sc, text, pointer):
     try:
-        return parse_cyclotomic(_want(value=text, kind=str, pointer=pointer, what="an expression string"))
+        value = parse_cyclotomic(_want(value=text, kind=str, pointer=pointer, what="an expression string"))
     except CycParseError as exc:
         raise LoadError(str(exc), pointer)
+    _widen(sc, value.order, pointer)
+    return value
 
 
-def _parse_matrix(rows, ncols, pointer):
+def _parse_matrix(sc, rows, ncols, pointer):
     rows = _want(rows, list, pointer, "a list of rows")
     out = []
     for i, row in enumerate(rows):
         row = _want(row, list, "%s/%d" % (pointer, i), "a row list")
         out.append(
             tuple(
-                _parse_entry(e, "%s/%d/%d" % (pointer, i, j))
+                _parse_entry(sc, e, "%s/%d/%d" % (pointer, i, j))
                 for j, e in enumerate(row)
             )
         )
@@ -261,6 +291,7 @@ class Scenario:
         "actions",
         "blocks",
         "trunc",
+        "field",
     )
 
     def __init__(self):
@@ -274,6 +305,7 @@ class Scenario:
         self.actions = {}
         self.blocks = {}
         self.trunc = DEFAULT_TRUNC
+        self.field = 1  # L of MAX_FIELD_DEGREE, so far
 
 
 def _capped(order, pointer):
@@ -356,6 +388,8 @@ def _load_embedding(sc, body, ptr):
 def _load_representation(sc, body, ptr):
     body = _want(body, dict, ptr, "an object")
     group = _ref(sc.groups, body, "group", ptr)
+    # a chart's eigenvalues are roots of unity of the group's element orders
+    _widen(sc, math.lcm(*map(group.order_of, group.elements())), ptr + "/group")
     try:
         if "matrices" in body:
             mats_json = _want(body["matrices"], list, ptr + "/matrices", "a list")
@@ -366,7 +400,7 @@ def _load_representation(sc, body, ptr):
                 )
             dim = len(_want(mats_json[0], list, ptr + "/matrices/0", "a matrix"))
             mats = [
-                _parse_matrix(m, dim if dim == 0 else None, "%s/matrices/%d" % (ptr, i))
+                _parse_matrix(sc, m, dim if dim == 0 else None, "%s/matrices/%d" % (ptr, i))
                 for i, m in enumerate(mats_json)
             ]
             return Representation(group, mats)
@@ -378,7 +412,7 @@ def _load_representation(sc, body, ptr):
                     ptr + "/values",
                 )
             parsed = tuple(
-                _parse_entry(v, "%s/values/%d" % (ptr, i)) for i, v in enumerate(vals)
+                _parse_entry(sc, v, "%s/values/%d" % (ptr, i)) for i, v in enumerate(vals)
             )
             return Representation.one_dimensional(group, parsed)
         if body.get("trivial"):
@@ -424,7 +458,7 @@ def _load_complex(sc, body, ptr):
         if d is None:
             diffs.append(Matrix.zero(*shape))
         else:
-            m = _parse_matrix(d, shape[1], "%s/differentials/%d" % (ptr, k))
+            m = _parse_matrix(sc, d, shape[1], "%s/differentials/%d" % (ptr, k))
             if m.shape() != shape:
                 raise LoadError(
                     "differential %d has shape %s, expected %s" % (k, m.shape(), shape),
@@ -487,8 +521,8 @@ def _ref(table, body, key, ptr):
     return _lookup(table, name, "%s/%s" % (ptr, key))
 
 
-def _inclusion_matrix(body, ambient, sub, ptr):
-    m = _parse_matrix(body.get("inclusion", []), sub.dim, ptr + "/inclusion")
+def _inclusion_matrix(sc, body, ambient, sub, ptr):
+    m = _parse_matrix(sc, body.get("inclusion", []), sub.dim, ptr + "/inclusion")
     if m.nrows == 0 and sub.dim == 0:
         return Matrix.zero(ambient.dim, 0)
     return m
@@ -526,7 +560,7 @@ def _load_model(sc, body, ptr):
     body = _want(body, dict, ptr, "an object")
     lines = _want(body.get("lines"), list, ptr + "/lines", "a list")
     roots = tuple(
-        _parse_entry(z, "%s/lines/%d" % (ptr, i)) for i, z in enumerate(lines)
+        _parse_entry(sc, z, "%s/lines/%d" % (ptr, i)) for i, z in enumerate(lines)
     )
     for i, z in enumerate(roots):
         # every root of unity in Q(zeta_n) has order dividing lcm(2, n)
@@ -651,7 +685,7 @@ def _load_rrg_zero_section(sc, body, ptr, trunc):
     sub = _ref(sc.representations, body, "sub", ptr)
     ambient = _ref(sc.representations, body, "ambient", ptr)
     cx = _ref(sc.complexes, body, "complex", ptr)
-    incl = _inclusion_matrix(body, ambient, sub, ptr)
+    incl = _inclusion_matrix(sc, body, ambient, sub, ptr)
     return {
         "euler": _knob(body, "euler_factor", ptr),
         "trunc": trunc,
@@ -665,7 +699,7 @@ def _load_rrg_general(sc, body, ptr, trunc):
     sub = _ref(sc.representations, body, "sub", ptr)
     ambient = _ref(sc.representations, body, "ambient", ptr)
     cx = _ref(sc.complexes, body, "complex", ptr)
-    incl = _inclusion_matrix(body, ambient, sub, ptr)
+    incl = _inclusion_matrix(sc, body, ambient, sub, ptr)
     return {
         "inversion": _knob(body, "inversion", ptr),
         "trunc": trunc,
@@ -822,10 +856,11 @@ def _groupoid_items_for_action(action):
         detail = "%d objects, %d arrows" % (base.num_objects, base.num_arrows)
         items.append({"check": check, "status": "pass", "detail": detail})
         check = "inertia-axioms"
-        detail = "%d loop objects" % inertia(base).groupoid.num_objects
+        ig = inertia(base)
+        detail = "%d loop objects" % ig.groupoid.num_objects
         items.append({"check": check, "status": "pass", "detail": detail})
         check = "morita-decomposition"
-        comps = morita_decompose_inertia(group, points, images)
+        comps = _morita_components(group, points, images, ig)
         for comp in comps:
             if not comp.equivalence.is_morita():
                 raise ValueError("component at class %d is not Morita" % comp.class_index)

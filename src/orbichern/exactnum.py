@@ -33,7 +33,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -296,11 +295,6 @@ class Cyclotomic:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("value is not rational: %s" % (self,))
-        return Fraction(self.num[0], self.den)
 
     def lift(self, order: int) -> "Cyclotomic":
         """The same value viewed in Q(zeta_order); order must be a multiple."""

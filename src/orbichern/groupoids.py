@@ -370,10 +370,6 @@ class FiniteGroupoid:
             self.validate()
         self.validated = bool(check)
 
-    def loop_arrows(self):
-        """Arrows with equal source and target, in index order."""
-        return tuple(np.flatnonzero(self.source == self.target).tolist())
-
     # -- axioms ----------------------------------------------------------
 
     def _check_shape(self):
@@ -1025,12 +1021,13 @@ class InertiaGroupoid:
     ``loops[i]`` into ``loops[j]`` by the base arrow ``gamma``.  The
     arrows out of loop ``i`` are numbered in the index order of the base
     arrows out of its object.  ``beta`` is the forgetful functor
-    back to the base and ``tau[i]`` is the canonical automorphism of loop
-    ``i`` given by the loop itself.
+    back to the base, so arrow ``k`` is ``(groupoid.source[k],
+    groupoid.target[k], beta.arr_map[k])``, and ``tau[i]`` is the
+    canonical automorphism of loop ``i`` given by the loop itself.
     """
 
     __slots__ = (
-        "base", "groupoid", "loops", "arrow_data", "beta", "tau",
+        "base", "groupoid", "loops", "beta", "tau",
         "_loop_index", "_arrows",
     )
 
@@ -1049,7 +1046,6 @@ class InertiaGroupoid:
         conj = base_at(base_at(gamma, loops[i]), base.inverses[gamma])
         j = self._loop_index[conj]
         arrow = arrows.slot
-        self.arrow_data = tuple(zip(i.tolist(), j.tolist(), gamma.tolist()))
         everyone = np.arange(len(loops))
         self.groupoid = ig = FiniteGroupoid(
             len(loops),
@@ -1183,7 +1179,12 @@ def morita_decompose_inertia(group, num_points, images):
     """
     images = tuple(tuple(row) for row in images)
     base = FiniteGroupoid.translation(group, num_points, images)
-    ig = inertia(base)
+    return _morita_components(group, num_points, images, inertia(base))
+
+
+def _morita_components(group, num_points, images, ig):
+    """`morita_decompose_inertia` on ``ig``, the built inertia of the
+    translation groupoid of ``group`` acting by ``images``."""
     cd = group.conjugacy()
     components = []
     for c, rep in enumerate(cd.reps):

@@ -26,7 +26,7 @@ class FiniteGroup:
     ``check=False`` skips the table checks and asserts that ``table`` is
     a group's, which whatever is built from the group relies on.  In this
     package only `subgroup_embedding` passes it, on a closed subset of a
-    checked group.
+    checked group; the named constructors below always check.
     """
 
     __slots__ = ("size", "table", "identity", "inverses", "names", "_conj", "_orders")
@@ -132,12 +132,6 @@ class FiniteGroup:
     def name(self, a):
         return self.names[a] if self.names is not None else str(a)
 
-    def is_abelian(self):
-        t = self.table
-        return all(
-            t[a][b] == t[b][a] for a in range(self.size) for b in range(a + 1, self.size)
-        )
-
     def conjugacy(self) -> "ConjugacyData":
         if self._conj is None:
             self._conj = _conjugacy(self)
@@ -149,7 +143,7 @@ class FiniteGroup:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def from_mult(elements, mult, names=None, check=True):
+    def from_mult(elements, mult, names=None):
         """Build from a label list and a multiplication function on labels."""
         _check_order(len(elements))
         index = {x: i for i, x in enumerate(elements)}
@@ -158,10 +152,10 @@ class FiniteGroup:
         ]
         if names is None:
             names = [str(x) for x in elements]
-        return FiniteGroup(table, names=names, check=check)
+        return FiniteGroup(table, names=names)
 
     @staticmethod
-    def from_generators(degree, perms, check=True):
+    def from_generators(degree, perms):
         """Closure of permutations of {0..degree-1} under composition.
 
         Composition convention: (p*q)(x) = p(q(x)).  The identity gets
@@ -192,16 +186,16 @@ class FiniteGroup:
             for p in order
         ]
         names = [str(p) for p in order]
-        return FiniteGroup(table, names=names, check=check), order
+        return FiniteGroup(table, names=names), order
 
     @staticmethod
-    def cyclic(n, check=True):
+    def cyclic(n):
         _check_order(n)
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        return FiniteGroup(table, names=[str(i) for i in range(n)], check=check)
+        return FiniteGroup(table, names=[str(i) for i in range(n)])
 
     @staticmethod
-    def symmetric(n, check=True):
+    def symmetric(n):
         """S_n on lexicographically sorted permutation labels; identity first."""
         if n < 0:
             raise ValueError("symmetric group needs n >= 0")
@@ -212,22 +206,21 @@ class FiniteGroup:
             elements,
             lambda p, q: tuple(p[q[i]] for i in range(n)),
             names=[str(p) for p in elements],
-            check=check,
         )
 
     @staticmethod
-    def dihedral(n, check=True):
+    def dihedral(n):
         """Dihedral group of order 2n acting on the n-gon vertices, n >= 3
         (for smaller n the two generators are not faithful)."""
         if n < 3:
             raise ValueError("dihedral group needs n >= 3")
         rot = tuple((i + 1) % n for i in range(n))
         ref = tuple((n - i) % n for i in range(n))
-        g, _ = FiniteGroup.from_generators(n, [rot, ref], check=check)
+        g, _ = FiniteGroup.from_generators(n, [rot, ref])
         return g
 
     @staticmethod
-    def quaternion(check=True):
+    def quaternion():
         """The quaternion group {+-1, +-i, +-j, +-k}."""
         basis_mult = {
             (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
@@ -243,12 +236,10 @@ class FiniteGroup:
             s, b = basis_mult[(x[1], y[1])]
             return (s * x[0] * y[0], b)
 
-        return FiniteGroup.from_mult(
-            elements, mult, names=[labels[x] for x in elements], check=check
-        )
+        return FiniteGroup.from_mult(elements, mult, names=[labels[x] for x in elements])
 
     @staticmethod
-    def direct_product(a, b, check=True):
+    def direct_product(a, b):
         na, nb = a.size, b.size
         _check_order(na * nb)
         table = [
@@ -263,7 +254,7 @@ class FiniteGroup:
             for x in range(na)
             for y in range(nb)
         ]
-        return FiniteGroup(table, names=names, check=check)
+        return FiniteGroup(table, names=names)
 
 
 class ConjugacyData:
@@ -314,15 +305,6 @@ def _conjugacy(group) -> ConjugacyData:
         if sizes[c] * len(centralizers[c]) != n:
             raise AssertionError("orbit-stabilizer mismatch in class %d" % c)
     return data
-
-
-def conjugacy(group) -> ConjugacyData:
-    return group.conjugacy()
-
-
-def centralizer(group, a):
-    """Elements commuting with a."""
-    return [g for g in range(group.size) if group.table[g][a] == group.table[a][g]]
 
 
 class GroupEmbedding:
@@ -425,14 +407,6 @@ class FusionData:
         self.embedding = embedding
         self.to_target = to_target
         self.fibers = fibers
-
-
-def coset_reps(emb):
-    return emb.cosets()
-
-
-def fuse_classes(emb) -> FusionData:
-    return emb.fusion()
 
 
 def subgroups(group):

@@ -188,11 +188,6 @@ class Matrix:
         """Matrix whose columns span the kernel (canonical basis)."""
         return kernel_of_rref(*self.rref())
 
-    def column_space(self) -> "Matrix":
-        """The pivot columns of the original matrix (canonical basis)."""
-        _, pivots = self.rref()
-        return self.submatrix(range(self.nrows), pivots)
-
     def solve(self, rhs) -> "Matrix":
         """X with self @ X = rhs; free variables set to zero.
 

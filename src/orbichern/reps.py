@@ -233,10 +233,6 @@ class VirtualCharacter:
     def at(self, g) -> Cyclotomic:
         return self.values[self.group.conjugacy().class_of[g]]
 
-    @property
-    def virtual_dim(self) -> Cyclotomic:
-        return self.at(self.group.identity)
-
     def __add__(self, other):
         self._same(other)
         return VirtualCharacter._trusted(

@@ -499,7 +499,12 @@ def check_td_pullback(sc):
 
 
 def check_functoriality(emb, cx):
-    """Supertraces commute with restriction along a subgroup inclusion."""
+    """Supertraces commute with restriction along a subgroup inclusion.
+
+    No CLI command reaches this verifier: it is library API, which
+    acceptance 9 of ``tests/test_acceptance.py`` drives on every subgroup
+    pair of its corpus.
+    """
     if cx.group is not emb.target:
         raise ValueError("complex must live over the big group")
     _require_valid(cx)

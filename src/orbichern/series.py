@@ -48,7 +48,6 @@ __all__ = [
     "NormalModel",
     "DelocalizedClass",
     "ZeroSectionReport",
-    "series_mul",
     "invert_unit",
     "exp_nilpotent",
     "todd_delocalized",
@@ -342,10 +341,6 @@ class GradedSeries:
         return text
 
     __repr__ = __str__
-
-
-def series_mul(a: GradedSeries, b: GradedSeries) -> GradedSeries:
-    return a * b
 
 
 def _shift(s: GradedSeries, exps) -> GradedSeries:

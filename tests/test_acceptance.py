@@ -48,6 +48,7 @@ from orbichern.rrg import (
     SKIPPED,
     GeneralScenario,
     IsoSpatialScenario,
+    check_functoriality,
     check_general_degree0,
     check_iso_spatial,
     check_td_pullback,
@@ -403,6 +404,8 @@ def test_delocalized_chern_is_the_character_and_restricts():
             chart_h = LinearChart(sub, restrict(emb, action))
             cx_h = EquivariantComplex.single(restrict(emb, bundle))
             deloc_h = delocalized_chern(chart_h, cx_h, 3)
+            # the same restriction, as supertraces of the complex
+            assert check_functoriality(emb, cx).passed, (gname, sub.size)
             fusion = emb.fusion()
             for comp, series in zip(inertia_data(chart_h), deloc_h.components):
                 fused = fusion.to_target[comp.class_index]

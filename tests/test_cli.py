@@ -1,7 +1,9 @@
 """Command-line layer: expression grammar, scenario files, exit codes."""
 
+import itertools
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -223,6 +225,46 @@ def test_groupoid_check_suite_passes(capsys):
     assert "morita-decomposition: pass" in out
 
 
+def test_action_block_builds_its_groupoids_once(monkeypatch):
+    """One groupoid-check action block, S4 on 4 points: the translation
+    groupoid of S4 and the inertia groupoid are each built once, and the
+    Morita decomposition reads the inertia the block already built."""
+    from orbichern import groupoids
+
+    sc = parse_scenario({
+        "groups": {"S4": {"symmetric": 4}},
+        "actions": {"nat": {"group": "S4", "points": 4, "images": [
+            list(p) for p in sorted(itertools.permutations(range(4)))
+        ]}},
+        "groupoid_checks": [{"action": "nat"}],
+    })
+    s4 = sc.groups["S4"]
+    calls = {"translation": 0, "inertia": 0}
+    translation = groupoids.FiniteGroupoid.translation
+    inertia_init = groupoids.InertiaGroupoid.__init__
+
+    def counted_translation(group, num_points, images):
+        calls["translation"] += group is s4
+        return translation(group, num_points, images)
+
+    def counted_inertia(self, base):
+        calls["inertia"] += 1
+        inertia_init(self, base)
+
+    monkeypatch.setattr(
+        groupoids.FiniteGroupoid, "translation", staticmethod(counted_translation)
+    )
+    monkeypatch.setattr(groupoids.InertiaGroupoid, "__init__", counted_inertia)
+    code, report = cli.run("groupoid-check", sc)
+    assert code == 0
+    assert report["blocks"][0]["items"] == [
+        {"check": "action-axioms", "status": "pass", "detail": "4 objects, 96 arrows"},
+        {"check": "inertia-axioms", "status": "pass", "detail": "24 loop objects"},
+        {"check": "morita-decomposition", "status": "pass", "detail": "3 components"},
+    ]
+    assert calls == {"translation": 1, "inertia": 1}
+
+
 def test_general_fixture_value_four(capsys):
     code = main(["rrg-general", fix("c2_in_c4_general.json")])
     out = capsys.readouterr().out
@@ -375,7 +417,8 @@ def test_load_refuses_a_degenerate_group_order_at_its_field(tmp_path, capsys, bo
 
 def test_load_quaternion_group():
     q8 = parse_scenario({"groups": {"Q": {"quaternion": True}}}).groups["Q"]
-    assert q8.size == 8 and not q8.is_abelian()
+    assert q8.size == 8
+    assert any(q8.mul(a, b) != q8.mul(b, a) for a in q8.elements() for b in q8.elements())
     assert q8.conjugacy().sizes == (1, 1, 2, 2, 2)
     assert [q8.order_of(x) for x in q8.elements()] == [1, 2, 4, 4, 4, 4, 4, 4]
 
@@ -707,6 +750,86 @@ def test_expression_caps_admit_their_bounds():
     assert parse_cyclotomic(digits) == Cyclotomic.from_rational(int(digits))
     nested = "(" * cli.MAX_NESTING + "E(4)" + ")" * cli.MAX_NESTING
     assert parse_cyclotomic(nested) == E(4)
+
+
+def _c(n, k=1):
+    """The text of E(n)^k."""
+    return "E(%d)^%d" % (n, k)
+
+
+@pytest.mark.parametrize(
+    "doc,message,pointer",
+    [
+        ({"models": {"M": {"lines": ["E(100000)"]}}},
+         "parse error at position 0: root of unity takes the field past degree 16",
+         "/models/M/lines/0"),
+        ({"models": {"A": {"lines": ["E(97)"]}, "B": {"lines": ["E(89)"]}}},
+         "parse error at position 0: root of unity takes the field past degree 16",
+         "/models/A/lines/0"),
+        ({"models": {"M": {"lines": ["E(17)*E(16)"]}}},
+         "parse error at position 6: root of unity takes the field past degree 16",
+         "/models/M/lines/0"),
+        ({"models": {"A": {"lines": ["E(17)"]}, "B": {"lines": ["1", "-E(16)"]}}},
+         "field Q(zeta_272) exceeds the cap of degree 16", "/models/B/lines/1"),
+        ({"groups": {"C": {"cyclic": 4}},
+          "representations": {"R": {"group": "C", "values": [_c(4, k) for k in range(4)]}},
+          "models": {"M": {"lines": ["E(17)"]}}},
+         "field Q(zeta_68) exceeds the cap of degree 16", "/models/M/lines/0"),
+        ({"groups": {"C": {"cyclic": 47}},
+          "representations": {"T": {"group": "C", "trivial": True}}},
+         "field Q(zeta_47) exceeds the cap of degree 16", "/representations/T/group"),
+    ],
+    ids=["huge_token", "two_primes", "within_one_value", "across_values",
+         "across_sections", "group_exponent"],
+)
+def test_field_cap_refuses_at_the_crossing_value(tmp_path, capsys, doc, message, pointer):
+    """The file's field Q(zeta_L), L the lcm of its values' orders and of
+    its represented groups' exponents, stays within degree MAX_FIELD_DEGREE;
+    the value (or token) that takes it past is refused before any block."""
+    assert cli.MAX_FIELD_DEGREE == 16
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(dict(doc, todd=[])))
+    t0 = time.perf_counter()
+    code = main(["todd", str(path)])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "load error: %s (at %s)\n" % (message, pointer)
+    assert elapsed < 1.0
+
+
+def test_field_cap_admits_its_bound():
+    """Every field of degree 16 parses, and a file may mix fields whose
+    lcm keeps the degree at 16."""
+    for n in (17, 32, 34, 40, 48, 60):
+        assert parse_cyclotomic("E(%d)" % n) == E(n)
+    sc = parse_scenario({
+        "groups": {"C": {"cyclic": 48}},
+        "representations": {"R": {"group": "C", "values": [_c(48, k) for k in range(48)]}},
+        "models": {"M": {"lines": ["E(16)", "E(3)", "-E(4)"]}},
+    })
+    assert sc.field == 48
+
+
+def test_slowest_command_at_the_field_cap_stays_within_ten_seconds(tmp_path, capsys):
+    """The cap's guard, the slowest command measured at degree 16: todd on
+    one line in Q(zeta_17) at truncation 255, the deepest the monomial cap
+    allows for one variable.  It took 3.1-3.4 s in a fresh process (Python
+    3.11, 2-vCPU Xeon); the same line in Q(zeta_34) or Q(zeta_60) took as
+    long, other powers of zeta_17 less, and E(31), of degree 30, 8.6 s."""
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "models": {"M": {"lines": ["E(17)"], "trunc": 255}},
+        "todd": [{"model": "M"}],
+    }))
+    t0 = time.perf_counter()
+    code = main(["todd", str(path)])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("todd todd[0]: pass\n")
+    assert elapsed < 10.0, elapsed
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):

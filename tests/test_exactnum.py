@@ -8,7 +8,6 @@ import pytest
 from orbichern import exactnum
 from orbichern.exactnum import (
     Cyclotomic,
-    Rational,
     _conv,
     _galois,
     _make,
@@ -27,10 +26,11 @@ def numeric(x):
 
 
 def test_rational_is_normalized_arbitrary_precision():
-    q = Rational(2**200, 2**199)
-    assert q == Rational(2, 1)
-    assert Rational(4, -6) == Rational(-2, 3)
-    assert Rational(4, -6).denominator == 3
+    q = Cyclotomic.from_rational(Fraction(2**200, 2**199))
+    assert (q.order, q.num, q.den) == (1, (2,), 1)
+    r = Cyclotomic.from_rational(Fraction(4, -6))
+    assert (r.num, r.den) == ((-2,), 3)
+    assert r == Fraction(-2, 3)
 
 
 def test_cyclotomic_polynomials():
@@ -197,7 +197,7 @@ def test_big_integers_survive():
     big = 10**40
     v = big + E(3)
     w = v - E(3)
-    assert w.as_rational() == big
+    assert w.is_rational() and (w.num, w.den) == ((big, 0), 1)
 
 
 def test_printer_smoke():
@@ -256,7 +256,7 @@ def test_integer_kernel_matches_oracle():
         assert _same(a.descend(), oa.descend()) and str(a) == str(oa)
         assert hash(a) == hash(a.lift(m)) == hash(a.descend())
         if a.descend().order == 1:
-            assert hash(a) == hash(a.as_rational())
+            assert hash(a) == hash(Fraction(a.descend().num[0], a.descend().den))
         if not b.is_zero():
             assert _same(b.inverse(), ob.inverse())
             assert _same(a / b, oa / ob)

@@ -46,7 +46,10 @@ def test_translation_groupoid_counts(s3):
     t = FiniteGroupoid.translation(s3, 3, perm_images(s3))
     assert t.num_objects == 3
     assert t.num_arrows == 18
-    assert len(t.loop_arrows()) == 6  # three unit loops + one per transposition
+    # three unit loops + one per transposition
+    assert int((t.source == t.target).sum()) == 6
+    fixed = [g * 3 + x for g, row in enumerate(perm_images(s3)) for x in range(3) if row[x] == x]
+    assert inertia(t).loops == tuple(fixed)
 
 
 def test_translation_rejects_non_action(s3):
@@ -258,8 +261,12 @@ def test_inertia_of_unit_groupoid_is_itself():
 def test_inertia_carries_base_data(pt_s3):
     ig = inertia(pt_s3)
     assert ig.beta.obj_map == tuple(0 for _ in range(6))
-    for k, (_, _, gamma) in enumerate(ig.arrow_data):
-        assert ig.beta.arr_map[k] == gamma
+    base_at = pt_s3.comp.at
+    for k, gamma in enumerate(ig.beta.arr_map):
+        i, j = ig.groupoid.source[k], ig.groupoid.target[k]
+        assert ig.arrow(i, gamma) == k
+        conj = base_at(base_at(gamma, ig.loops[i]), pt_s3.inverses[gamma])
+        assert ig.loops[j] == conj
     for i, loop in enumerate(ig.loops):
         assert ig.beta.arr_map[ig.tau[i]] == loop
 
@@ -600,6 +607,11 @@ def compose_tables(f1, f2):
     return reps, left, right
 
 
+def arrow_triples(ig):
+    """(loop i, loop j, base arrow gamma) per arrow of an inertia groupoid."""
+    return zip(ig.groupoid.source.tolist(), ig.groupoid.target.tolist(), ig.beta.arr_map)
+
+
 def inertia_tables(f, isrc, idst):
     g = f.src
     fl, fr = dict(f.left), dict(f.right)
@@ -613,10 +625,10 @@ def inertia_tables(f, isrc, idst):
                          if f.dst.source[loop] == f.sigma[z] and fr[(z, loop)] == moved))
     left = {(k, c): index[(fl[(gamma, z)], j)]
             for c, (z, i) in enumerate(points)
-            for k, (i0, j, gamma) in enumerate(isrc.arrow_data) if i0 == i}
+            for k, (i0, j, gamma) in enumerate(arrow_triples(isrc)) if i0 == i}
     right = {(c, k): index[(fr[(z, eta)], i)]
              for c, (z, i) in enumerate(points)
-             for k, (_, j, eta) in enumerate(idst.arrow_data) if j == down[c]}
+             for k, (_, j, eta) in enumerate(arrow_triples(idst)) if j == down[c]}
     return points, down, left, right
 
 

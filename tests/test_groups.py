@@ -6,10 +6,6 @@ from orbichern.groups import (
     MAX_ORDER,
     FiniteGroup,
     GroupEmbedding,
-    centralizer,
-    conjugacy,
-    coset_reps,
-    fuse_classes,
     subgroup_embedding,
     subgroups,
 )
@@ -19,19 +15,28 @@ def s3():
     return FiniteGroup.symmetric(3)
 
 
+def commuting(g, a):
+    """The elements of ``g`` that commute with ``a``, by the table."""
+    return [x for x in g.elements() if g.mul(x, a) == g.mul(a, x)]
+
+
+def abelian(g):
+    return all(commuting(g, a) == list(g.elements()) for a in g.elements())
+
+
 def test_symmetric_group_basics():
     g = s3()
     assert g.size == 6
     assert g.identity == 0
     for a in g.elements():
         assert g.mul(a, g.inv(a)) == g.identity
-    assert not g.is_abelian()
-    assert FiniteGroup.cyclic(5).is_abelian()
+    assert not abelian(g)
+    assert abelian(FiniteGroup.cyclic(5))
 
 
 def test_s3_conjugacy_classes():
     # S3: sizes 1, 3, 2 with centralizer orders 6, 2, 3.
-    cd = conjugacy(s3())
+    cd = s3().conjugacy()
     assert cd.num_classes() == 3
     assert cd.sizes == (1, 3, 2)
     assert tuple(len(z) for z in cd.centralizers) == (6, 2, 3)
@@ -44,7 +49,7 @@ def test_s3_conjugacy_classes():
 
 
 def test_s4_class_data():
-    cd = conjugacy(FiniteGroup.symmetric(4))
+    cd = FiniteGroup.symmetric(4).conjugacy()
     assert sorted(cd.sizes) == [1, 3, 6, 6, 8]
     assert sum(cd.sizes) == 24
 
@@ -52,11 +57,11 @@ def test_s4_class_data():
 def test_quaternion_and_dihedral():
     q8 = FiniteGroup.quaternion()
     assert q8.size == 8
-    assert conjugacy(q8).num_classes() == 5
-    assert sorted(conjugacy(q8).sizes) == [1, 1, 2, 2, 2]
+    assert q8.conjugacy().num_classes() == 5
+    assert sorted(q8.conjugacy().sizes) == [1, 1, 2, 2, 2]
     d4 = FiniteGroup.dihedral(4)
     assert d4.size == 8
-    assert conjugacy(d4).num_classes() == 5
+    assert d4.conjugacy().num_classes() == 5
 
 
 @pytest.mark.parametrize(
@@ -82,8 +87,8 @@ def test_small_dihedral_and_negative_symmetric_are_refused(build, message):
 def test_direct_product():
     g = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4))
     assert g.size == 8
-    assert g.is_abelian()
-    assert conjugacy(g).num_classes() == 8
+    assert abelian(g)
+    assert g.conjugacy().num_classes() == 8
     assert sorted(g.order_of(a) for a in g.elements()) == [1, 2, 2, 2, 4, 4, 4, 4]
 
 
@@ -116,7 +121,7 @@ def test_coset_reps_partition():
     g = s3()
     transposition = min(x for x in g.elements() if g.order_of(x) == 2)
     _, emb = subgroup_embedding(g, [0, transposition])
-    reps, coset_of = coset_reps(emb)
+    reps, coset_of = emb.cosets()
     assert len(reps) == 3
     assert reps[0] == 0
     seen = set()
@@ -132,11 +137,11 @@ def test_fusion_s3():
     g = s3()
     transposition = min(x for x in g.elements() if g.order_of(x) == 2)
     _, emb = subgroup_embedding(g, [0, transposition])
-    fus = fuse_classes(emb)
+    fus = emb.fusion()
     # identity class -> identity class; the involution -> transposition class
     assert fus.to_target[0] == 0
-    assert fus.to_target[1] == conjugacy(g).class_of[transposition]
-    assert fus.fibers[conjugacy(g).class_of[transposition]] == (1,)
+    assert fus.to_target[1] == g.conjugacy().class_of[transposition]
+    assert fus.fibers[g.conjugacy().class_of[transposition]] == (1,)
 
 
 def test_subgroup_counts():
@@ -163,9 +168,14 @@ def test_subgroups_are_closed_and_embed():
 
 def test_centralizer_function():
     g = s3()
-    assert centralizer(g, g.identity) == list(range(6))
+    cd = g.conjugacy()
+    assert cd.centralizers[cd.class_of[g.identity]] == tuple(range(6))
     t = min(x for x in g.elements() if g.order_of(x) == 2)
-    assert len(centralizer(g, t)) == 2
+    assert len(cd.centralizers[cd.class_of[t]]) == 2
+    for group in (g, FiniteGroup.symmetric(4), FiniteGroup.quaternion()):
+        cd = group.conjugacy()
+        for c, r in enumerate(cd.reps):
+            assert cd.centralizers[c] == tuple(commuting(group, r))
 
 
 def test_library_groups_stop_at_the_order_cap():
@@ -207,7 +217,7 @@ def test_landings_match_a_brute_force_walk():
             sub, emb = subgroup_embedding(group, list(elems))
             cg = sub.conjugacy()
             want = []
-            for h in conjugacy(group).reps:
+            for h in group.conjugacy().reps:
                 counts = [0] * cg.num_classes()
                 for x in group.elements():
                     y = group.mul(group.mul(group.inv(x), h), x)

@@ -135,10 +135,13 @@ def test_kron_mixed_product():
 
 def test_column_space_spans():
     a = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    cs = a.column_space()
-    assert cs.ncols == a.rank()
-    # every column of a solvable against the basis
+    _, pivots = a.rref()
+    cs = a.submatrix(range(a.nrows), pivots)
+    assert cs.ncols == a.rank() == 2
+    # every column of a solvable against the basis of pivot columns
     cs.solve(a)
+    with pytest.raises(ValueError):
+        a.submatrix(range(a.nrows), pivots[:1]).solve(a)
 
 
 def test_zero_dimensional_edges():

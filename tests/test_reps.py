@@ -97,7 +97,7 @@ def test_exterior_square_of_standard_is_sign(s3, std):
 
 
 def test_exterior_powers_sum_to_binomials(std):
-    dims = [character(exterior_power(std, k)).virtual_dim for k in range(3)]
+    dims = [character(exterior_power(std, k)).at(std.group.identity) for k in range(3)]
     assert dims == [1, 2, 1]
 
 
@@ -289,7 +289,7 @@ def test_zero_dimensional_rep(s3):
     assert character(z).values == (
         Cyclotomic.from_rational(0),
     ) * 3
-    assert character(exterior_power(z, 0)).virtual_dim == 1
+    assert character(exterior_power(z, 0)).at(z.group.identity) == 1
 
 
 # -- validate(): every pair checked, the first violation raised -------------

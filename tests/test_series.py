@@ -16,7 +16,6 @@ from orbichern.series import (
     first_difference,
     invert_unit,
     koszul_ch,
-    series_mul,
     todd_delocalized,
     zero_section_identity,
 )
@@ -45,11 +44,11 @@ def test_mul_truncates():
 
 def test_mul_identity_and_shape_errors():
     a = s(2, 4, {(1, 2): E(3, 1)})
-    assert series_mul(GradedSeries.one(2, 4), a) == a
+    assert GradedSeries.one(2, 4) * a == a
     with pytest.raises(ValueError, match="incompatible"):
-        series_mul(a, GradedSeries.one(2, 5))
+        a * GradedSeries.one(2, 5)
     with pytest.raises(ValueError, match="incompatible"):
-        series_mul(a, GradedSeries.one(3, 4))
+        a * GradedSeries.one(3, 4)
 
 
 def test_invert_geometric():
