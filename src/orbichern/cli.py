@@ -226,55 +226,135 @@ class LoadError(ValueError):
         self.pointer = pointer
 
 
-def _want(value, kind, pointer, what):
-    if not isinstance(value, kind):
-        raise LoadError("expected %s" % what, pointer)
-    return value
+class _Field:
+    """One JSON value of the scenario being loaded, at its pointer.
 
+    Each read takes the value as one kind, or raises LoadError at the
+    value's own pointer; ``build`` refuses the ValueError of a library
+    constructor there too.  A member is absent only when its key is: a
+    ``null`` is a value, of no kind that a read takes.
+    """
 
-def _want_int(value, pointer):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise LoadError("expected an integer", pointer)
-    return value
+    __slots__ = ("sc", "value", "ptr")
 
+    def __init__(self, sc, value, ptr):
+        self.sc = sc
+        self.value = value
+        self.ptr = ptr
 
-def _widen(sc, order, pointer):
-    """Take ``order`` into the file's field, or refuse it at ``pointer``."""
-    field = math.lcm(sc.field, order)
-    if not _field_fits(field):
-        raise LoadError(
-            "field Q(zeta_%d) exceeds the cap of degree %d" % (field, MAX_FIELD_DEGREE),
-            pointer,
-        )
-    sc.field = field
+    def fail(self, message):
+        raise LoadError(message, self.ptr)
 
+    def _at(self, key, value):
+        return _Field(self.sc, value, "%s/%s" % (self.ptr, key))
 
-def _parse_entry(sc, text, pointer):
-    try:
-        value = parse_cyclotomic(_want(value=text, kind=str, pointer=pointer, what="an expression string"))
-    except CycParseError as exc:
-        raise LoadError(str(exc), pointer)
-    _widen(sc, value.order, pointer)
-    return value
+    def obj(self):
+        if not isinstance(self.value, dict):
+            self.fail("expected an object")
+        return self
 
+    def get(self, key, default=None):
+        """Member ``key`` of an object; when absent, ``default`` at the
+        member's pointer, or None without a default."""
+        if key in self.value:
+            return self._at(key, self.value[key])
+        return None if default is None else self._at(key, default)
 
-def _parse_matrix(sc, rows, ncols, pointer):
-    rows = _want(rows, list, pointer, "a list of rows")
-    out = []
-    for i, row in enumerate(rows):
-        row = _want(row, list, "%s/%d" % (pointer, i), "a row list")
-        out.append(
-            tuple(
-                _parse_entry(sc, e, "%s/%d/%d" % (pointer, i, j))
-                for j, e in enumerate(row)
-            )
-        )
-    widths = {len(r) for r in out}
-    if len(widths) > 1:
-        raise LoadError("ragged rows", pointer)
-    if ncols is not None and out and len(out[0]) != ncols:
-        raise LoadError("expected %d columns" % ncols, pointer)
-    return Matrix.from_rows(out, ncols=ncols if (ncols is not None) else None)
+    def need(self, key):
+        member = self.get(key)
+        if member is None:
+            self._at(key, None).fail("missing %r" % key)
+        return member
+
+    def members(self):
+        """(name, field) for each member of an object."""
+        return [(k, self._at(k, v)) for k, v in self.obj().value.items()]
+
+    def list(self, length=None, message=None):
+        """The entries of a list, refused with ``message`` unless there
+        are ``length`` of them."""
+        if not isinstance(self.value, list):
+            self.fail("expected a list")
+        if length is not None and len(self.value) != length:
+            self.fail(message)
+        return [self._at(i, v) for i, v in enumerate(self.value)]
+
+    def int(self, low=None, message=None):
+        """An integer, never a bool, refused with ``message`` below ``low``."""
+        value = self.value
+        if isinstance(value, bool) or not isinstance(value, int):
+            self.fail("expected an integer")
+        if low is not None and value < low:
+            self.fail(message)
+        return value
+
+    def ints(self, below, length=None, message=None):
+        """A list of indices into range(below)."""
+        entries = self.list(length, message)
+        for f in entries:
+            if not 0 <= f.int() < below:
+                f.fail("expected an index below %d" % below)
+        return [f.value for f in entries]
+
+    def text(self):
+        if not isinstance(self.value, str):
+            self.fail("expected a string")
+        return self.value
+
+    def ref(self, table, key=None):
+        """The entry of a declaration table named here, or by member ``key``."""
+        f = self if key is None else self.need(key)
+        if not isinstance(f.value, str) or f.value not in table:
+            f.fail("unknown reference %r" % (f.value,))
+        return table[f.value]
+
+    def widen(self, order):
+        """Take ``order`` into the file's field, or refuse it here."""
+        field = math.lcm(self.sc.field, order)
+        if not _field_fits(field):
+            self.fail("field Q(zeta_%d) exceeds the cap of degree %d" % (field, MAX_FIELD_DEGREE))
+        self.sc.field = field
+
+    def cyc(self):
+        """A cyclotomic expression, taken into the file's field."""
+        if not isinstance(self.value, str):
+            self.fail("expected an expression string")
+        try:
+            value = parse_cyclotomic(self.value)
+        except CycParseError as exc:
+            self.fail(str(exc))
+        self.widen(value.order)
+        return value
+
+    def matrix(self, nrows, ncols):
+        """A row-major matrix of expressions; ``[]`` also stands for a
+        matrix without columns."""
+        if ncols == 0 and self.value == []:
+            return Matrix.zero(nrows, 0)
+        width = "expected %d columns" % ncols
+        rows = self.list(nrows, "expected %d rows" % nrows)
+        return Matrix.from_rows([[e.cyc() for e in r.list(ncols, width)] for r in rows], ncols)
+
+    def trunc(self):
+        """A truncation degree: a nonnegative integer."""
+        return self.int(0, "truncation degree must be nonnegative")
+
+    def knob(self, key):
+        """Formula knob ``key`` of a block, its default when absent."""
+        allowed = _KNOBS[key]
+        member = self.get(key)
+        if member is None:
+            return allowed[0]
+        if member.value not in allowed:
+            member.fail("%s must be one of: %s" % (key, ", ".join(allowed)))
+        return member.value
+
+    def build(self, make, *args):
+        """``make(*args)``, its ValueError refused here."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise LoadError(str(exc), self.ptr)
 
 
 class Scenario:
@@ -308,231 +388,122 @@ class Scenario:
         self.field = 1  # L of MAX_FIELD_DEGREE, so far
 
 
-def _capped(order, pointer):
-    """Refuse a group order above the cap, before any table exists."""
-    if order > MAX_ORDER:
-        raise LoadError("group order exceeds the scenario cap of %d" % MAX_ORDER, pointer)
+def _load_group(body):
+    """The group and, when permutations declare it, their closure."""
+    table = body.get("table")
+    if table is not None:
+        # refuse the order before anything is read of the table
+        if isinstance(table.value, list) and len(table.value) > MAX_ORDER:
+            table.fail("group order exceeds the scenario cap of %d" % MAX_ORDER)
+        rows = table.list()
+        n = len(rows)
+        rows = [r.ints(n, n, "multiplication table is not square") for r in rows]
+        names = body.get("names")
+        if names is not None:
+            names = [f.text() for f in names.list(n, "need one name per element")]
+        return body.build(FiniteGroup, rows, names), None
+    perms = body.get("permutations")
+    if perms is not None:
+        gens = perms.list()
+        if not gens:
+            perms.fail("need at least one generator")
+        d = len(gens[0].list())
+        message = "not a permutation of 0..%d" % (d - 1)
+        return body.build(FiniteGroup.from_generators, d, [p.ints(d, d, message) for p in gens])
+    # each refuses an order past the cap before building; D_n for a larger
+    # n than the cap stops its closure at the cap, as D_48 does
+    for key, make in (
+        ("cyclic", FiniteGroup.cyclic),
+        ("symmetric", FiniteGroup.symmetric),
+        ("dihedral", lambda n: FiniteGroup.dihedral(min(n, MAX_ORDER))),
+    ):
+        n = body.get(key)
+        if n is not None:
+            return n.build(make, n.int()), None
+    if "quaternion" in body.value:
+        return FiniteGroup.quaternion(), None
+    body.fail("group needs one of: table, permutations, cyclic, symmetric, dihedral, quaternion")
 
 
-def _load_group(name, body, ptr):
-    body = _want(body, dict, ptr, "an object")
-    try:
-        if "table" in body:
-            table = _want(body["table"], list, ptr + "/table", "a list of rows")
-            _capped(len(table), ptr + "/table")
-            names = body.get("names")
-            return FiniteGroup(table, names=names), None
-        if "permutations" in body:
-            perms = _want(
-                body["permutations"], list, ptr + "/permutations", "a list"
-            )
-            if not perms:
-                raise LoadError("need at least one generator", ptr + "/permutations")
-            degree = len(_want(perms[0], list, ptr + "/permutations/0", "a list"))
-            return FiniteGroup.from_generators(degree, perms)
-        # the branches that read an order n point their refusals at it
-        if "cyclic" in body:
-            ptr += "/cyclic"
-            n = _want_int(body["cyclic"], ptr)
-            _capped(n, ptr)
-            return FiniteGroup.cyclic(n), None
-        if "symmetric" in body:
-            ptr += "/symmetric"
-            n = _want_int(body["symmetric"], ptr)
-            _capped(math.factorial(min(max(n, 0), 5)), ptr)
-            return FiniteGroup.symmetric(n), None
-        if "dihedral" in body:
-            ptr += "/dihedral"
-            n = _want_int(body["dihedral"], ptr)
-            _capped(2 * n, ptr)
-            return FiniteGroup.dihedral(n), None
-        if "quaternion" in body:
-            return FiniteGroup.quaternion(), None
-    except LoadError:
-        raise
-    except (ValueError, TypeError, IndexError) as exc:
-        raise LoadError(str(exc), ptr)
-    raise LoadError(
-        "group needs one of: table, permutations, cyclic, symmetric, dihedral, quaternion",
-        ptr,
-    )
+def _load_embedding(body):
+    sc = body.sc
+    target = body.ref(sc.groups, "target")
+    elements = body.get("elements")
+    if elements is not None:
+        sub, emb = body.build(subgroup_embedding, target, elements.ints(target.size))
+        register = body.get("register_source")
+        if register is not None:
+            if register.text() in sc.groups:
+                register.fail("group name %r already taken" % register.value)
+            sc.groups[register.value] = sub
+        return emb
+    mapping = body.get("mapping")
+    if mapping is not None:
+        source = body.ref(sc.groups, "source")
+        images = mapping.ints(target.size, source.size, "need one image per source element")
+        return body.build(GroupEmbedding, source, target, images)
+    body.fail("embedding needs either elements or source+mapping")
 
 
-def _load_embedding(sc, body, ptr):
-    body = _want(body, dict, ptr, "an object")
-    target = _ref(sc.groups, body, "target", ptr)
-    try:
-        if "elements" in body:
-            elements = _want(body["elements"], list, ptr + "/elements", "a list")
-            sub, emb = subgroup_embedding(target, elements)
-            register = body.get("register_source")
-            if register is not None:
-                if register in sc.groups:
-                    raise LoadError(
-                        "group name %r already taken" % register,
-                        ptr + "/register_source",
-                    )
-                sc.groups[register] = sub
-            return emb
-        if "mapping" in body:
-            source = _ref(sc.groups, body, "source", ptr)
-            mapping = _want(body["mapping"], list, ptr + "/mapping", "a list")
-            return GroupEmbedding(source, target, mapping)
-    except LoadError:
-        raise
-    except (ValueError, TypeError, IndexError, KeyError) as exc:
-        raise LoadError(str(exc), ptr)
-    raise LoadError("embedding needs either elements or source+mapping", ptr)
-
-
-def _load_representation(sc, body, ptr):
-    body = _want(body, dict, ptr, "an object")
-    group = _ref(sc.groups, body, "group", ptr)
+def _load_representation(body):
+    group = body.ref(body.sc.groups, "group")
     # a chart's eigenvalues are roots of unity of the group's element orders
-    _widen(sc, math.lcm(*map(group.order_of, group.elements())), ptr + "/group")
-    try:
-        if "matrices" in body:
-            mats_json = _want(body["matrices"], list, ptr + "/matrices", "a list")
-            if len(mats_json) != group.size:
-                raise LoadError(
-                    "need one matrix per group element (%d)" % group.size,
-                    ptr + "/matrices",
-                )
-            dim = len(_want(mats_json[0], list, ptr + "/matrices/0", "a matrix"))
-            mats = [
-                _parse_matrix(sc, m, dim if dim == 0 else None, "%s/matrices/%d" % (ptr, i))
-                for i, m in enumerate(mats_json)
-            ]
-            return Representation(group, mats)
-        if "values" in body:
-            vals = _want(body["values"], list, ptr + "/values", "a list")
-            if len(vals) != group.size:
-                raise LoadError(
-                    "need one value per group element (%d)" % group.size,
-                    ptr + "/values",
-                )
-            parsed = tuple(
-                _parse_entry(sc, v, "%s/values/%d" % (ptr, i)) for i, v in enumerate(vals)
-            )
-            return Representation.one_dimensional(group, parsed)
-        if body.get("trivial"):
-            return Representation.trivial(group)
-        if body.get("zero"):
-            return Representation.zero_dimensional(group)
-        if "permutation" in body:
-            images = _want(body["permutation"], list, ptr + "/permutation", "a list")
-            return Representation.permutation(group, images)
-    except LoadError:
-        raise
-    except (ValueError, TypeError, IndexError) as exc:
-        raise LoadError(str(exc), ptr)
-    raise LoadError(
-        "representation needs one of: matrices, values, permutation, trivial, zero",
-        ptr,
-    )
+    body.get("group").widen(math.lcm(*map(group.order_of, group.elements())))
+    n = group.size
+    mats = body.get("matrices")
+    if mats is not None:
+        mats = mats.list(n, "need one matrix per group element (%d)" % n)
+        dim = len(mats[0].list())
+        return body.build(Representation, group, [m.matrix(dim, dim) for m in mats])
+    values = body.get("values")
+    if values is not None:
+        values = values.list(n, "need one value per group element (%d)" % n)
+        return body.build(Representation.one_dimensional, group, [v.cyc() for v in values])
+    if body.value.get("trivial"):
+        return Representation.trivial(group)
+    if body.value.get("zero"):
+        return Representation.zero_dimensional(group)
+    perm = body.get("permutation")
+    if perm is not None:
+        rows = perm.list(n, "need one image row per group element")
+        k = len(rows[group.identity].list())
+        message = "image row must list %d point indices" % k
+        return body.build(Representation.permutation, group, [r.ints(k, k, message) for r in rows])
+    body.fail("representation needs one of: matrices, values, permutation, trivial, zero")
 
 
-def _load_complex(sc, body, ptr):
-    body = _want(body, dict, ptr, "an object")
-    group = _ref(sc.groups, body, "group", ptr)
-    pieces_json = _want(body.get("pieces"), list, ptr + "/pieces", "a list")
-    if not pieces_json:
-        raise LoadError("a complex needs at least one piece", ptr + "/pieces")
-    pieces = [
-        _lookup(sc.representations, pname, "%s/pieces/%d" % (ptr, i))
-        for i, pname in enumerate(pieces_json)
+def _load_complex(body):
+    group = body.ref(body.sc.groups, "group")
+    entries = body.need("pieces").list()
+    if not entries:
+        body.get("pieces").fail("a complex needs at least one piece")
+    pieces = [p.ref(body.sc.representations) for p in entries]
+    for p, rep in zip(entries, pieces):
+        if rep.group is not group:
+            p.fail("piece lives over a different group")
+    n = len(pieces) - 1
+    diffs = body.get("differentials", [None] * n).list(n, "need exactly %d differentials" % n)
+    diffs = [
+        Matrix.zero(b.dim, a.dim) if d.value is None else d.matrix(b.dim, a.dim)
+        for d, a, b in zip(diffs, pieces, pieces[1:])
     ]
-    for i, p in enumerate(pieces):
-        if p.group is not group:
-            raise LoadError("piece lives over a different group", "%s/pieces/%d" % (ptr, i))
-    diffs_json = body.get("differentials", [None] * (len(pieces) - 1))
-    diffs_json = _want(diffs_json, list, ptr + "/differentials", "a list")
-    if len(diffs_json) != len(pieces) - 1:
-        raise LoadError(
-            "need exactly %d differentials" % (len(pieces) - 1),
-            ptr + "/differentials",
-        )
-    diffs = []
-    for k, d in enumerate(diffs_json):
-        shape = (pieces[k + 1].dim, pieces[k].dim)
-        if d is None:
-            diffs.append(Matrix.zero(*shape))
-        else:
-            m = _parse_matrix(sc, d, shape[1], "%s/differentials/%d" % (ptr, k))
-            if m.shape() != shape:
-                raise LoadError(
-                    "differential %d has shape %s, expected %s" % (k, m.shape(), shape),
-                    "%s/differentials/%d" % (ptr, k),
-                )
-            diffs.append(m)
-    check = not body.get("skip_validation", False)
-    try:
-        return EquivariantComplex(
-            group, _want_int(body.get("min_degree", 0), ptr + "/min_degree"),
-            pieces, diffs, check=check,
-        )
-    except ValueError as exc:
-        raise LoadError(str(exc), ptr)
+    check = not body.value.get("skip_validation", False)
+    min_degree = body.get("min_degree", 0).int()
+    return body.build(EquivariantComplex, group, min_degree, pieces, diffs, check)
 
 
-def _load_action(sc, body, ptr):
-    body = _want(body, dict, ptr, "an object")
-    gname = body.get("group")
-    group = _ref(sc.groups, body, "group", ptr)
-    if body.get("natural"):
-        order = sc.perm_actions.get(gname)
+def _load_action(body):
+    sc = body.sc
+    group = body.ref(sc.groups, "group")
+    if body.value.get("natural"):
+        order = sc.perm_actions.get(body.value["group"])
         if order is None:
-            raise LoadError(
-                "natural action needs a group declared by permutations",
-                ptr + "/natural",
-            )
+            body.get("natural").fail("natural action needs a group declared by permutations")
         return group, len(order[0]), [list(p) for p in order]
-    points = _want_int(body.get("points"), ptr + "/points")
-    if points < 0:
-        raise LoadError("points must be nonnegative", ptr + "/points")
-    images = _want(body.get("images"), list, ptr + "/images", "a list")
-    if len(images) != group.size:
-        raise LoadError("need one image row per group element", ptr + "/images")
-    rows = []
-    for i, row in enumerate(images):
-        row = _want(row, list, "%s/images/%d" % (ptr, i), "a list")
-        if len(row) != points or any(
-            not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < points
-            for x in row
-        ):
-            raise LoadError(
-                "image row must list %d point indices" % points,
-                "%s/images/%d" % (ptr, i),
-            )
-        rows.append(list(row))
-    return group, points, rows
-
-
-def _lookup(table, name, ptr):
-    if not isinstance(name, str) or name not in table:
-        raise LoadError("unknown reference %r" % name, ptr)
-    return table[name]
-
-
-def _ref(table, body, key, ptr):
-    name = body.get(key)
-    if name is None:
-        raise LoadError("missing %r" % key, ptr)
-    return _lookup(table, name, "%s/%s" % (ptr, key))
-
-
-def _inclusion_matrix(sc, body, ambient, sub, ptr):
-    m = _parse_matrix(sc, body.get("inclusion", []), sub.dim, ptr + "/inclusion")
-    if m.nrows == 0 and sub.dim == 0:
-        return Matrix.zero(ambient.dim, 0)
-    return m
-
-
-def _trunc(value, pointer):
-    """A truncation degree written in the file: a nonnegative integer."""
-    if _want_int(value, pointer) < 0:
-        raise LoadError("truncation degree must be nonnegative", pointer)
-    return value
+    points = body.need("points").int(0, "points must be nonnegative")
+    images = body.need("images").list(group.size, "need one image row per group element")
+    message = "image row must list %d point indices" % points
+    return group, points, [row.ints(points, points, message) for row in images]
 
 
 def _cap(trunc, nvars, pointer, what="truncation degree"):
@@ -546,46 +517,37 @@ def _cap(trunc, nvars, pointer, what="truncation degree"):
         )
 
 
-def _load_chart(sc, body, ptr):
-    body = _want(body, dict, ptr, "an object")
-    group = _ref(sc.groups, body, "group", ptr)
-    action = _ref(sc.representations, body, "action", ptr)
-    try:
-        return LinearChart(group, action)
-    except ValueError as exc:
-        raise LoadError(str(exc), ptr)
+def _load_chart(body):
+    group, action = body.ref(body.sc.groups, "group"), body.ref(body.sc.representations, "action")
+    return body.build(LinearChart, group, action)
 
 
-def _load_model(sc, body, ptr):
-    body = _want(body, dict, ptr, "an object")
-    lines = _want(body.get("lines"), list, ptr + "/lines", "a list")
-    roots = tuple(
-        _parse_entry(sc, z, "%s/lines/%d" % (ptr, i)) for i, z in enumerate(lines)
-    )
-    for i, z in enumerate(roots):
+def _load_model(body):
+    roots = []
+    for line in body.need("lines").list():
+        z = line.cyc()
         # every root of unity in Q(zeta_n) has order dividing lcm(2, n)
         if z.is_zero() or z ** math.lcm(2, z.order) != 1:
-            raise LoadError("model line is not a root of unity", "%s/lines/%d" % (ptr, i))
+            line.fail("model line is not a root of unity")
+        roots.append(z)
     trunc = body.get("trunc")
     if trunc is not None:
-        _cap(_trunc(trunc, ptr + "/trunc"), len(roots), ptr + "/trunc")
-    return roots, trunc
+        _cap(trunc.trunc(), len(roots), trunc.ptr)
+        trunc = trunc.value
+    return tuple(roots), trunc
 
 
 def parse_scenario(data) -> Scenario:
     """Resolve and validate a decoded scenario document."""
-    data = _want(data, dict, "", "a JSON object")
-    version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise LoadError("unsupported schema_version %r" % version, "/schema_version")
     sc = Scenario()
+    doc = _Field(sc, data, "").obj()
+    version = doc.get("schema_version")
+    if version is not None and version.int() != SCHEMA_VERSION:
+        version.fail("unsupported schema_version %r" % version.value)
     if "trunc" in data:
-        sc.trunc = _trunc(data["trunc"], "/trunc")
-    for name, body in _want(
-        data.get("groups", {}), dict, "/groups", "an object"
-    ).items():
-        group, order = _load_group(name, body, "/groups/%s" % name)
-        sc.groups[name] = group
+        sc.trunc = doc.get("trunc").trunc()
+    for name, body in doc.get("groups", {}).members():
+        sc.groups[name], order = _load_group(body.obj())
         if order is not None:
             sc.perm_actions[name] = order
     for key, load in (
@@ -597,27 +559,15 @@ def parse_scenario(data) -> Scenario:
         ("actions", _load_action),
     ):
         named = getattr(sc, key)
-        for name, body in _want(data.get(key, {}), dict, "/" + key, "an object").items():
-            named[name] = load(sc, body, "/%s/%s" % (key, name))
+        for name, body in doc.get(key, {}).members():
+            named[name] = load(body.obj())
     for key, load, _, _ in _COMMAND_TABLE.values():
-        if key is None:
-            continue
-        blocks = _want(data.get(key, []), list, "/" + key, "a list")
-        sc.blocks[key] = [
-            _load_block(sc, load, b, "/%s/%d" % (key, i)) for i, b in enumerate(blocks)
-        ]
+        if key is not None:
+            sc.blocks[key] = [_load_block(load, b.obj()) for b in doc.get(key, []).list()]
     return sc
 
 
-def _knob(body, key, ptr):
-    allowed = _KNOBS[key]
-    value = body.get(key, allowed[0])
-    if not isinstance(value, str) or value not in allowed:
-        raise LoadError("%s must be one of: %s" % (key, ", ".join(allowed)), ptr + "/" + key)
-    return value
-
-
-def _load_block(sc, load, body, ptr):
+def _load_block(load, body):
     """Load one block with its command's loader.
 
     The loader gets the file truncation that applies to the block and
@@ -626,94 +576,91 @@ def _load_block(sc, load, body, ptr):
     a block with an rrg ``scenario`` has it built here, unless it skips
     validation, and a run at the same truncation reuses it.
     """
-    body = _want(body, dict, ptr, "an object")
-    trunc, trunc_at = sc.trunc, "/trunc"
-    if body.get("trunc") is not None:
-        trunc_at = ptr + "/trunc"
-        trunc = _trunc(body["trunc"], trunc_at)
-    block = {"label": body.get("label"), "pointer": ptr}
-    block.update(load(sc, body, ptr, trunc))
+    own = body.get("trunc")
+    trunc, trunc_at = (body.sc.trunc, "/trunc") if own is None else (own.trunc(), own.ptr)
+    label = body.get("label")
+    block = {"label": label and label.text(), "pointer": body.ptr}
+    block.update(load(body, trunc))
     if "vars" in block:
         # a model's own truncation was capped where the model loads
         _cap(block["trunc"], block["vars"], trunc_at)
-    if "scenario" in block and not body.get("skip_validation", False):
-        try:
-            block["built"] = (block.get("trunc"), _rrg_scenario(block, block.get("trunc")))
-        except ValueError as exc:
-            raise LoadError(str(exc), ptr)
+    if "scenario" in block and not body.value.get("skip_validation", False):
+        trunc = block.get("trunc")
+        block["built"] = (trunc, body.build(_rrg_scenario, block, trunc))
     return block
 
 
-def _load_induce(sc, body, ptr, trunc):
-    emb = _ref(sc.embeddings, body, "embedding", ptr)
-    rep = _ref(sc.representations, body, "representation", ptr)
+def _load_induce(body, trunc):
+    sc = body.sc
+    emb = body.ref(sc.embeddings, "embedding")
+    rep = body.ref(sc.representations, "representation")
     if rep.group is not emb.source:
-        raise LoadError(
-            "representation must live over the embedding source",
-            ptr + "/representation",
-        )
+        body.get("representation").fail("representation must live over the embedding source")
     return {"emb": emb, "rep": rep}
 
 
-def _load_chern(sc, body, ptr, trunc):
-    chart = _ref(sc.charts, body, "chart", ptr)
-    cx = _ref(sc.complexes, body, "complex", ptr)
+def _load_chern(body, trunc):
+    chart = body.ref(body.sc.charts, "chart")
+    cx = body.ref(body.sc.complexes, "complex")
     if cx.group is not chart.group:
-        raise LoadError("complex must live over the chart group", ptr + "/complex")
+        body.get("complex").fail("complex must live over the chart group")
     return {"chart": chart, "cx": cx, "trunc": trunc}
 
 
-def _load_todd(sc, body, ptr, trunc):
-    roots, model_trunc = _ref(sc.models, body, "model", ptr)
-    if body.get("trunc") is None and model_trunc is not None:
+def _load_todd(body, trunc):
+    roots, model_trunc = body.ref(body.sc.models, "model")
+    if "trunc" not in body.value and model_trunc is not None:
         trunc = model_trunc
     return {"roots": roots, "trunc": trunc, "vars": len(roots)}
 
 
-def _load_rrg_iso(sc, body, ptr, trunc):
-    emb = _ref(sc.embeddings, body, "embedding", ptr)
-    chart = _ref(sc.representations, body, "chart", ptr)
-    cx = _ref(sc.complexes, body, "complex", ptr)
+def _load_rrg_iso(body, trunc):
+    sc = body.sc
+    emb = body.ref(sc.embeddings, "embedding")
+    chart = body.ref(sc.representations, "chart")
+    cx = body.ref(sc.complexes, "complex")
     return {
-        "weight": _knob(body, "weight", ptr),
+        "weight": body.knob("weight"),
         "scenario": (IsoSpatialScenario, (emb, chart, cx)),
     }
 
 
-def _load_rrg_zero_section(sc, body, ptr, trunc):
-    group = _ref(sc.groups, body, "group", ptr)
-    sub = _ref(sc.representations, body, "sub", ptr)
-    ambient = _ref(sc.representations, body, "ambient", ptr)
-    cx = _ref(sc.complexes, body, "complex", ptr)
-    incl = _inclusion_matrix(sc, body, ambient, sub, ptr)
+def _load_rrg_zero_section(body, trunc):
+    sc = body.sc
+    group = body.ref(sc.groups, "group")
+    sub = body.ref(sc.representations, "sub")
+    ambient = body.ref(sc.representations, "ambient")
+    cx = body.ref(sc.complexes, "complex")
+    incl = body.get("inclusion", []).matrix(ambient.dim, sub.dim)
     return {
-        "euler": _knob(body, "euler_factor", ptr),
+        "euler": body.knob("euler_factor"),
         "trunc": trunc,
         "vars": max(ambient.dim - sub.dim, 0),
         "scenario": (ZeroSectionScenario, (group, sub, ambient, incl, cx)),
     }
 
 
-def _load_rrg_general(sc, body, ptr, trunc):
-    emb = _ref(sc.embeddings, body, "embedding", ptr)
-    sub = _ref(sc.representations, body, "sub", ptr)
-    ambient = _ref(sc.representations, body, "ambient", ptr)
-    cx = _ref(sc.complexes, body, "complex", ptr)
-    incl = _inclusion_matrix(sc, body, ambient, sub, ptr)
+def _load_rrg_general(body, trunc):
+    sc = body.sc
+    emb = body.ref(sc.embeddings, "embedding")
+    sub = body.ref(sc.representations, "sub")
+    ambient = body.ref(sc.representations, "ambient")
+    cx = body.ref(sc.complexes, "complex")
+    incl = body.get("inclusion", []).matrix(ambient.dim, sub.dim)
     return {
-        "inversion": _knob(body, "inversion", ptr),
+        "inversion": body.knob("inversion"),
         "trunc": trunc,
         "vars": max(ambient.dim - sub.dim, 0),
         "scenario": (GeneralScenario, (emb, sub, ambient, incl, cx)),
     }
 
 
-def _load_groupoid_check(sc, body, ptr, trunc):
-    if "action" in body:
-        return {"action": _ref(sc.actions, body, "action", ptr)}
-    if "embedding" in body:
-        return {"gemb": _ref(sc.embeddings, body, "embedding", ptr)}
-    raise LoadError("groupoid check needs an action or an embedding", ptr)
+def _load_groupoid_check(body, trunc):
+    if "action" in body.value:
+        return {"action": body.ref(body.sc.actions, "action")}
+    if "embedding" in body.value:
+        return {"gemb": body.ref(body.sc.embeddings, "embedding")}
+    body.fail("groupoid check needs an action or an embedding")
 
 
 def load_scenario(path) -> Scenario:
@@ -721,13 +668,11 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LoadError("invalid JSON: %s" % exc, "")
         except UnicodeDecodeError as exc:
             raise LoadError("not UTF-8 text: %s" % exc, "")
         except RecursionError:
             raise LoadError("invalid JSON: nested too deeply", "")
-        except ValueError as exc:  # an integer past the interpreter's digit limit
+        except ValueError as exc:  # a decode error, or an integer past the digit limit
             raise LoadError("invalid JSON: %s" % exc, "")
     return parse_scenario(data)
 
@@ -749,17 +694,10 @@ def _run_induce(name, block, trunc):
     chi = character(rep)
     slow = induced_character_sum(emb, chi)
     fast = pushforward_characters(emb, chi)
-    classes = []
-    for c in range(len(slow.values)):
-        ok = slow.values[c] == fast.values[c]
-        classes.append(
-            {
-                "class": c,
-                "status": "pass" if ok else "fail",
-                "lhs": str(slow.values[c]),
-                "rhs": str(fast.values[c]),
-            }
-        )
+    classes = [
+        {"class": c, "status": "pass" if a == b else "fail", "lhs": str(a), "rhs": str(b)}
+        for c, (a, b) in enumerate(zip(slow.values, fast.values))
+    ]
     passed = all(e["status"] == "pass" for e in classes)
     return {"name": name, "passed": passed, "classes": classes}
 
@@ -874,10 +812,6 @@ def _verdict(check, ok):
     return {"check": check, "status": "pass" if ok else "fail"}
 
 
-def _skipped(check, reason):
-    return {"check": check, "status": "skipped", "detail": reason}
-
-
 def _groupoid_items_for_embedding(emb):
     src = FiniteGroupoid.from_group(emb.source)
     dst = FiniteGroupoid.from_group(emb.target)
@@ -888,21 +822,21 @@ def _groupoid_items_for_embedding(emb):
         {"check": "bibundle-axioms", "status": "pass", "detail": "carrier size %d" % morphism.size},
         _verdict("graph-embedding", classify_embedding(morphism.graph()).embedding),
     ]
-    if flags.embedding:
-        first, second = factorize(morphism)
-        ok = (
-            classify_embedding(first).iso_spatial
-            and classify_embedding(second).stabilizer_preserving
-            and find_isomorphism(first.compose(second), morphism) is not None
-        )
-        items.append(_verdict("factorize-round-trip", ok))
-    else:
-        items.append(_skipped("factorize-round-trip", "not an embedding"))
+    # the comma bibundle of an injective homomorphism is injective, and it is
+    # saturated since the one object has every loop: always an embedding
+    first, second = factorize(morphism)
+    ok = (
+        classify_embedding(first).iso_spatial
+        and classify_embedding(second).stabilizer_preserving
+        and find_isomorphism(first.compose(second), morphism) is not None
+    )
+    items.append(_verdict("factorize-round-trip", ok))
     if flags.stabilizer_preserving:
         inherited = classify_embedding(inertia_of_morphism(morphism))
         items.append(_verdict("inertia-stabilizers", inherited.stabilizer_preserving))
     else:
-        items.append(_skipped("inertia-stabilizers", "not stabilizer preserving"))
+        reason = "not stabilizer preserving"
+        items.append({"check": "inertia-stabilizers", "status": "skipped", "detail": reason})
     return items
 
 

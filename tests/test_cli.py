@@ -490,6 +490,61 @@ def test_load_rejects_empty_shapes_at_their_field(tmp_path, capsys, section, mes
     assert captured.err == "load error: %s (at %s)\n" % (message, pointer)
 
 
+_C1_C2 = {"C1": {"cyclic": 1}, "C2": {"cyclic": 2}}
+_REPS = {"T1": {"group": "C1", "trivial": True}, "T2": {"group": "C2", "trivial": True}}
+
+
+@pytest.mark.parametrize(
+    "doc,message,pointer",
+    [
+        ({"groups": {"G": {"table": [[0]] * 49}}},
+         "group order exceeds the scenario cap of 48", "/groups/G/table"),
+        ({"groups": {"G": {"table": [[0]], "names": ["e", "f"]}}},
+         "need one name per element", "/groups/G/names"),
+        ({"groups": {"G": {"table": [[0]], "names": [0]}}},
+         "expected a string", "/groups/G/names/0"),
+        ({"groups": {"G": {}}},
+         "group needs one of: table, permutations, cyclic, symmetric, dihedral, quaternion",
+         "/groups/G"),
+        ({"groups": _C1_C2, "embeddings": {"E": {"target": "C2"}}},
+         "embedding needs either elements or source+mapping", "/embeddings/E"),
+        ({"groups": _C1_C2, "representations": _REPS,
+          "complexes": {"K": {"group": "C1", "pieces": ["T1", "T2"]}}},
+         "piece lives over a different group", "/complexes/K/pieces/1"),
+        ({"groups": _C1_C2, "actions": {"A": {"group": "C2", "natural": True}}},
+         "natural action needs a group declared by permutations", "/actions/A/natural"),
+        ({"groups": _C1_C2, "representations": _REPS, "charts": {"X": {"group": "C1"}}},
+         "missing 'action'", "/charts/X/action"),
+        ({"groups": _C1_C2, "representations": _REPS,
+          "embeddings": {"E": {"source": "C1", "target": "C2", "mapping": [0]}},
+          "induce": [{"embedding": "E", "representation": "T2"}]},
+         "representation must live over the embedding source", "/induce/0/representation"),
+        ({"groups": _C1_C2, "representations": _REPS,
+          "charts": {"X": {"group": "C2", "action": "T2"}},
+          "complexes": {"K": {"group": "C1", "pieces": ["T1"]}},
+          "chern": [{"chart": "X", "complex": "K"}]},
+         "complex must live over the chart group", "/chern/0/complex"),
+        ({"groupoid_checks": [{}]},
+         "groupoid check needs an action or an embedding", "/groupoid_checks/0"),
+        ({"groupoid_checks": [{"label": 7, "action": "A"}]},
+         "expected a string", "/groupoid_checks/0/label"),
+        ({"models": {"M": {"lines": ["1"], "trunc": None}}},
+         "expected an integer", "/models/M/trunc"),
+    ],
+    ids=["table_cap", "names_length", "name_kind", "no_variant", "no_embedding_form",
+         "piece_group", "natural", "missing_ref", "induce_group", "chern_group",
+         "no_check_form", "label_kind", "null_trunc"],
+)
+def test_load_refuses_at_the_field_it_reads(tmp_path, capsys, doc, message, pointer):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    code = main(["inertia", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "load error: %s (at %s)\n" % (message, pointer)
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     import os
     import subprocess
@@ -510,7 +565,8 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 def test_groupoid_check_at_the_order_cap_stays_small(tmp_path):
     """S4 x C2 (order 48) embedded in itself: the graph lands in a product
     with 48^2 arrows, whose composition table nothing reads.  The child
-    reports its own peak resident set, in KB on Linux."""
+    reports its own peak resident set in kB, the VmHWM of its status file:
+    ru_maxrss would carry the peak of this test process across exec."""
     import os
     import subprocess
     import sys
@@ -526,10 +582,11 @@ def test_groupoid_check_at_the_order_cap_stays_small(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     child = (
-        "import resource, sys\n"
+        "import sys\n"
         "from orbichern.cli import main\n"
         "code = main(['groupoid-check', sys.argv[1]])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(l.split()[1] for l in fh if l.startswith('VmHWM:')))\n"
         "sys.exit(code)\n"
     )
     proc = subprocess.run(

@@ -152,6 +152,44 @@ def test_free_quotient_is_morita():
     assert f.is_morita()
 
 
+def _pt():
+    return FiniteGroupoid.from_group(FiniteGroup.cyclic(1))
+
+
+def _two_points():
+    """The discrete groupoid on two objects: only their units."""
+    return FiniteGroupoid.translation(FiniteGroup.cyclic(1), 2, [[0, 1]])
+
+
+def test_c2_onto_a_point_is_not_morita():
+    """C2 acts on the one carrier point of its comma bibundle to pt, and
+    not freely, so the bibundle is not principal."""
+    c2 = FiniteGroupoid.from_group(FiniteGroup.cyclic(2))
+    f = GeneralizedMorphism.from_functor(StrictFunctor(c2, _pt(), [0], [0, 0]))
+    assert f.size == 1
+    assert not f.is_morita()
+    assert not classify_embedding(f).embedding
+
+
+def test_a_point_missing_an_object_is_not_morita():
+    """pt into two discrete objects: sigma misses the second one."""
+    two = _two_points()
+    f = GeneralizedMorphism.from_functor(StrictFunctor(_pt(), two, [0], [two.units[0]]))
+    assert f.sigma.tolist() == [0]
+    assert not f.is_morita()
+    flags = classify_embedding(f)
+    assert flags.embedding and not flags.iso_spatial
+
+
+def test_two_objects_folded_onto_a_point_are_not_an_embedding():
+    """pt has the arrow between the two images that the two objects lack."""
+    f = GeneralizedMorphism.from_functor(StrictFunctor(_two_points(), _pt(), [0, 0], [0, 0]))
+    flags = classify_embedding(f)
+    assert flags.comparison.is_injective()
+    assert not flags.comparison.is_saturated()
+    assert not flags.embedding
+
+
 def test_compose_with_identity_is_isomorphic(c2_in_s3, pt_s3):
     _, _, pt2, f = c2_in_s3
     assert find_isomorphism(f.compose(GeneralizedMorphism.identity(pt_s3)), f)
