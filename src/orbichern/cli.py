@@ -246,7 +246,9 @@ class _Field:
         raise LoadError(message, self.ptr)
 
     def _at(self, key, value):
-        return _Field(self.sc, value, "%s/%s" % (self.ptr, key))
+        # RFC 6901: "~" is written "~0" and "/" is written "~1" in a name
+        token = str(key).replace("~", "~0").replace("/", "~1")
+        return _Field(self.sc, value, "%s/%s" % (self.ptr, token))
 
     def obj(self):
         if not isinstance(self.value, dict):

@@ -25,14 +25,24 @@ only scales it by an integer.  The Euler monomial shifts the recorded
 columns before the walk, so the walk builds no monomial past the
 truncation.
 
-Every series is held in one integer form, (n, {exponents: numerator
-vector}, den): every coefficient a nonzero residue of Z[zeta_n] over one
-common denominator.  A series given by its coefficients is converted to
-it once, when it is built.  Sums, products and comparisons run on that
-form alone, and the zero-section verdict is decided on it, by
-cross-multiplying the two sides' residues in one field; a Cyclotomic
-coefficient is built only for a caller that reads it, and the whole
-coefficient dict, `coeffs`, is only a view of the form.
+Both sides stay factored until something reads them: the Todd side as
+its prefix walk (a vector per direction prefix, an integer scale per
+monomial), the Koszul side as its support vectors and integer weights.
+The zero-section verdict is decided on these factored forms: each
+(prefix, support) pair that a monomial meets is checked proportional
+once, and each monomial then costs one integer equation.  The two
+routes still compute their own numbers; only the comparison looks at
+both.
+
+A series read coefficientwise is held in one integer form, (n,
+{exponents: numerator vector}, den): every coefficient a nonzero residue
+of Z[zeta_n] over one common denominator.  A factored form is flattened
+into it on the first read, and a series given by its coefficients is
+converted to it once, when it is built.  Sums, products and general
+comparisons (`==`, first_difference) run on that form alone, by
+cross-multiplying residues in one field; a Cyclotomic coefficient is
+built only for a caller that reads it, and the whole coefficient dict,
+`coeffs`, is only a view of the form.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
+from types import MappingProxyType
 
 from .exactnum import Cyclotomic, _conv, _lift_num, _make
 
@@ -74,9 +85,9 @@ def _grlex_key(exps):
 # Bulk series arithmetic stays in the integer form that Cyclotomic stores:
 # every coefficient is lifted into one fixed Q(zeta_n) and scaled to one
 # common denominator, products go through the one convolution of exactnum,
-# `_conv`, and sums are plain integer adds; `_expand` takes each entry's
-# integer gcd out of its vector, so a product of column entries is one
-# `_conv` per direction prefix and one integer scale per monomial.  The
+# `_conv`, and sums are plain integer adds; `_column_split` takes each
+# entry's integer gcd out of its vector, so a product of column entries is
+# one `_conv` per direction prefix and one integer scale per monomial.  The
 # result is kept as the series' integer form; an output monomial becomes a
 # Cyclotomic, by one `_make`, when it is read.
 
@@ -89,12 +100,11 @@ def _common_order(*value_lists):
     return n
 
 
-def _over_common_den(values, n):
-    """Numerator vectors of values inside Q(zeta_n) over one denominator."""
-    den = lcm(1, *(v.den for v in values))
-    vecs = [
-        _lift_num(v.order, n, [x * (den // v.den) for x in v.num]) for v in values
-    ]
+def _over_common_den(key, n):
+    """Numerator vectors inside Q(zeta_n), over one denominator, of the
+    values whose `_num_key` is key."""
+    den = lcm(1, *(d for _, _, d in key))
+    vecs = [_lift_num(order, n, [x * (den // d) for x in num]) for order, num, d in key]
     return vecs, den
 
 
@@ -106,17 +116,22 @@ def _num_key(values) -> tuple:
 class GradedSeries:
     """Polynomial truncation of a power series in num_vars variables.
 
-    Two forms are stored, the first made into the second on first need:
+    Up to three forms are stored, the first two made into the third on
+    first need:
 
     - `factors`: None, or the one-variable columns (j, col) whose outer
       product this series is (see `_outer_product`); invert_unit inverts
       such a series column by column, so one that is only inverted is
       never expanded.
+    - `_pending`: None, or a factored form and the function that flattens
+      it, (flatten, form): koszul_ch's parts, or the prefix walk of an
+      outer product that zero_section_identity has compared.  It is
+      dropped once flattened.
     - the integer form, `_int_form()`: (n, {exponents: numerator vector},
       den), each vector a nonzero residue of Z[zeta_n] over the common
       denominator den.  A series built from coefficients converts them
-      into it once; sums, products and koszul_ch build it directly, and
-      an outer product expands into it.  `==` and first_difference
+      into it once; sums and products build it directly, and the two
+      forms above are flattened into it.  `==` and first_difference
       compare two integer forms without building a Cyclotomic.
 
     `coeffs` is a view: exponents -> nonzero Cyclotomic, one `_make`
@@ -128,7 +143,7 @@ class GradedSeries:
     valid.
     """
 
-    __slots__ = ("num_vars", "trunc_degree", "_coeffs", "_ints", "factors")
+    __slots__ = ("num_vars", "trunc_degree", "_coeffs", "_ints", "_pending", "factors")
 
     def __init__(self, num_vars, trunc_degree, coeffs=None):
         if not isinstance(trunc_degree, int) or trunc_degree < 0:
@@ -136,6 +151,7 @@ class GradedSeries:
         self.num_vars = num_vars
         self.trunc_degree = trunc_degree
         self.factors = None
+        self._pending = None
         clean = {}
         for exps, val in (coeffs or {}).items():
             exps = tuple(exps)
@@ -148,30 +164,36 @@ class GradedSeries:
                 clean[exps] = val
         self._coeffs = clean
         n = _common_order(clean.values())
-        vecs, den = _over_common_den(clean.values(), n)
+        vecs, den = _over_common_den(_num_key(clean.values()), n)
         self._ints = (n, dict(zip(clean, vecs)), den)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _raw(num_vars, trunc_degree, ints=None, factors=None):
-        # trusted input, ints or factors given: canonical keys, nonzero
-        # numerator vectors in ints
+    def _raw(num_vars, trunc_degree, ints=None, factors=None, pending=None):
+        # trusted input, ints, factors or pending given: canonical keys,
+        # nonzero numerator vectors in ints
         s = GradedSeries.__new__(GradedSeries)
         s.num_vars = num_vars
         s.trunc_degree = trunc_degree
         s._coeffs = None
         s._ints = ints
+        s._pending = pending
         s.factors = factors
         return s
 
     def _int_form(self):
         """(n, {exponents: nonzero numerator vector}, den).
 
-        An outer product is expanded into it on the first call.
+        Built on the first call: a pending (flatten, form) pair is
+        flattened and dropped, and an outer product with none is expanded.
         """
         if self._ints is None:
-            self._ints = _expand(self.num_vars, self.trunc_degree, self.factors)
+            if self._pending is None:
+                self._ints = _expand(self.num_vars, self.trunc_degree, self.factors)
+            else:
+                flatten, form = self._pending
+                self._ints, self._pending = flatten(form), None
         return self._ints
 
     @property
@@ -353,7 +375,7 @@ def _shift(s: GradedSeries, exps) -> GradedSeries:
     """
     if not any(exps):
         return s
-    if s._ints is None:
+    if s._ints is None and s.factors is not None:
         zero = Cyclotomic.zero()
         cols = [(j, (zero,) * exps[j] + col) for j, col in s.factors]
         have = {j for j, _ in s.factors}
@@ -408,23 +430,47 @@ def _outer_product(num_vars, trunc_degree, factors) -> GradedSeries:
     )
 
 
-def _expand(num_vars, trunc_degree, factors) -> tuple:
-    """The integer form (n, acc, den) of the outer product of factors.
+@lru_cache(maxsize=512)
+def _column_split(key: tuple, n: int, pad: int) -> tuple:
+    """(common denominator, direction groups) of one column inside Q(zeta_n).
+
+    key lists the column's entries as `_num_key` triples.  Each nonzero
+    entry's numerator vector over the column's common denominator is split
+    as g*w: g the gcd of the vector, signed like its first nonzero entry,
+    and w a primitive direction, so a rational entry is the direction
+    (1, 0, ...).  The groups are (w, ((step, k, g), ...)), step the
+    exponent k followed by pad zeros for the variables up to the next
+    column.  Cached: a round of Todd columns is made of a few distinct
+    entry tuples, and only the steps depend on the pad.
+    """
+    vecs, cden = _over_common_den(key, n)
+    dirs = {}
+    for k, v in enumerate(vecs):
+        if any(v):
+            g = gcd(*v)
+            if next(filter(None, v)) < 0:
+                g = -g
+            step = (k,) + (0,) * pad
+            dirs.setdefault(tuple(x // g for x in v), []).append((step, k, g))
+    return cden, tuple((w, tuple(entries)) for w, entries in dirs.items())
+
+
+def _walk_prefixes(num_vars, trunc_degree, factors) -> tuple:
+    """The outer product of factors as (n, level, den), not yet flattened.
 
     The x^a coefficient is prod_j col_j[a_j], formed over the integers in
-    one Q(zeta_n), each column over its own common denominator.  Each
-    entry's numerator vector is split as g*w: g the gcd of the vector,
-    signed like its first nonzero entry, and w a primitive direction, so a
-    rational entry is the direction (1, 0, ...).  A column's entries are
-    grouped by direction; an inverted Todd column at zeta != 1 has two,
-    1 - zeta^{-1} at x^0 and zeta^{-1} beyond.  The walk goes breadth first
-    over direction prefixes, one column per variable in order: a prefix
-    holds one vector, the `_conv` of its parent's vector and its own
-    direction, and the monomials that share it as (exponents, integer
-    scale, remaining degree budget).  A leaf writes scale*vector, which is
-    the product of its entries because reduction mod Phi_n is linear; no
-    leaf is zero, since its factors are nonzero residues.  Columns whose
-    entries all differ in direction cost one product per monomial prefix.
+    one Q(zeta_n), each column over its own common denominator and split
+    into direction groups (`_column_split`); an inverted Todd column at
+    zeta != 1 has two, 1 - zeta^{-1} at x^0 and zeta^{-1} beyond.  The
+    walk goes breadth first over direction prefixes, one column per
+    variable in order.  level lists each full prefix as (v_p, monomials):
+    v_p the `_conv` of its parent's vector and its own direction (None for
+    the empty product), and the monomials that share it as (exponents,
+    integer scale, remaining degree budget).  A monomial's coefficient is
+    scale*v_p/den, the product of its entries because reduction mod Phi_n
+    is linear; none is zero, since its factors are nonzero residues.
+    Columns whose entries all differ in direction cost one product per
+    monomial prefix.
     """
     n = _common_order(*(col for _, col in factors))
     factors = sorted(factors, key=lambda f: f[0])
@@ -433,17 +479,9 @@ def _expand(num_vars, trunc_degree, factors) -> tuple:
     den = 1
     cols = []
     for (j, col), nxt in zip(factors, starts[1:]):
-        vecs, cden = _over_common_den(col, n)
+        cden, dirs = _column_split(_num_key(col), n, nxt - j - 1)
         den *= cden
-        dirs = {}
-        for k, v in enumerate(vecs):
-            if any(v):
-                g = gcd(*v)
-                if next(filter(None, v)) < 0:
-                    g = -g
-                step = (k,) + (0,) * (nxt - j - 1)
-                dirs.setdefault(tuple(x // g for x in v), []).append((step, k, g))
-        cols.append(dirs.items())
+        cols.append(dirs)
     level = [(None, [((0,) * starts[0], 1, trunc_degree)])]
     for dirs in cols:
         grown = []
@@ -458,11 +496,25 @@ def _expand(num_vars, trunc_degree, factors) -> tuple:
                 if kids:
                     grown.append((w if vec is None else _conv(n, vec, w), kids))
         level = grown
+    return n, level, den
+
+
+def _flatten_prefixes(walk) -> tuple:
+    """The integer form (n, acc, den) of a prefix walk: scale*v_p per leaf."""
+    n, level, den = walk
     # with no columns the one leaf is the empty product, 1 in Q (n = 1)
     acc = {
         e: [s * x for x in vec or (1,)] for vec, monos in level for e, s, _ in monos
     }
     return n, acc, den
+
+
+def _expand(num_vars, trunc_degree, factors) -> tuple:
+    """The integer form (n, acc, den) of the outer product of factors.
+
+    The prefix walk (`_walk_prefixes`), flattened at once.
+    """
+    return _flatten_prefixes(_walk_prefixes(num_vars, trunc_degree, factors))
 
 
 def invert_unit(s: GradedSeries) -> GradedSeries:
@@ -596,16 +648,18 @@ def _degs_within(k, budget):
 
 @lru_cache(maxsize=256)
 def _koszul_table(line_vars, num_vars, trunc_degree):
-    """(exponents, support mask, W(a) * D!) for each monomial on line_vars.
+    """({exponents: (support mask, W(a) * D!)}, monomials per mask).
 
     The monomials a are those of total degree <= D in the variables
     line_vars[i]; bit i of the support mask is set when a_{line_vars[i]} > 0.
     W(a) = prod_j (-1)^{a_j}/a_j!, and prod_j a_j! divides D! because
-    sum_j a_j <= D, so W(a) * D! is an integer.  One table serves every
-    model whose lines sit on the same variables.
+    sum_j a_j <= D, so W(a) * D! is an integer.  The second entry counts
+    the monomials of each support mask.  One table serves every model
+    whose lines sit on the same variables, so the dict is read-only.
     """
     full = factorial(trunc_degree)
-    rows = []
+    rows = {}
+    counts = [0] * (1 << len(line_vars))
     for degs in _degs_within(len(line_vars), trunc_degree):
         w, wden, mask = full, 1, 0
         exps = [0] * num_vars
@@ -616,8 +670,9 @@ def _koszul_table(line_vars, num_vars, trunc_degree):
                 wden *= factorial(a)
                 if a % 2:
                     w = -w
-        rows.append((tuple(exps), mask, w // wden))
-    return tuple(rows)
+        rows[tuple(exps)] = (mask, w // wden)
+        counts[mask] += 1
+    return MappingProxyType(rows), tuple(counts)
 
 
 def _support_sums(zvecs):
@@ -648,11 +703,15 @@ def koszul_ch(model: NormalModel) -> GradedSeries:
     zeta_j^{-1} times the multinomial weight W(a) = prod_j (-1)^{a_j}/a_j!.
     The sum is grouped by support: it is W(a) * F(T), with F(T) the sum of
     the signed subset products over S containing T, and all 2^r values
-    of F come from one superset-sum pass (`_support_sums`).  Each
-    monomial then scales one vector.  No series multiplication is
-    involved.  All terms share the denominator
-    lcm(zeta-product denominators) * D!, so the sums are integer adds, and
-    the series keeps them as its integer form.
+    of F come from one superset-sum pass (`_support_sums`).  No series
+    multiplication is involved.  All terms share the denominator
+    lcm(zeta-product denominators) * D!, so the sums are integer adds.
+
+    The series holds these parts, (order, F, table, den), with a zero
+    F(T) as None and the table of `_koszul_table`; each monomial scales
+    its support's vector when the series is first flattened
+    (`_flatten_koszul`), and zero_section_identity compares the parts
+    without flattening them.
     """
     r, d = model.num_vars, model.trunc_degree
     order = _common_order(zeta for zeta, _ in model.lines)
@@ -661,12 +720,22 @@ def koszul_ch(model: NormalModel) -> GradedSeries:
     for zeta, _ in model.lines:
         zinv = zeta.inverse()
         zfacs += [z * zinv for z in zfacs]
-    zvecs, zden = _over_common_den(zfacs, order)
-    f = _support_sums(zvecs)
-    live = [any(v) for v in f]
+    zvecs, zden = _over_common_den(_num_key(zfacs), order)
+    f = [v if any(v) else None for v in _support_sums(zvecs)]
     table = _koszul_table(tuple(j for _, j in model.lines), r, d)
-    acc = {exps: [w * x for x in f[mask]] for exps, mask, w in table if live[mask]}
-    return GradedSeries._raw(r, d, ints=(order, acc, zden * factorial(d)))
+    parts = (order, f, table, zden * factorial(d))
+    return GradedSeries._raw(r, d, pending=(_flatten_koszul, parts))
+
+
+def _flatten_koszul(parts) -> tuple:
+    """The integer form (n, acc, den) of koszul_ch's parts: W(a)*F(T) per live a."""
+    order, f, (rows, _), den = parts
+    acc = {
+        exps: [w * x for x in f[mask]]
+        for exps, (mask, w) in rows.items()
+        if f[mask] is not None
+    }
+    return order, acc, den
 
 
 class ZeroSectionReport:
@@ -724,8 +793,61 @@ def first_difference(a: GradedSeries, b: GradedSeries):
     return None
 
 
+def _factored_agree(koszul_parts, walk) -> bool:
+    """Whether koszul_ch's parts and a prefix walk are the same series.
+
+    Exact, without flattening either side.  Both are lifted into Q(zeta_m),
+    m the lcm of their orders.  A Todd leaf (e, s_e) under the prefix
+    vector v_p has the value s_e*v_p/den_T, and the Koszul monomial e the
+    value W_e*F_T/den_K, T its support.  For each (prefix, support) pair
+    that a leaf meets, v_p and F_T are checked proportional once:
+    v_p[i]*F_T[i0] == F_T[i]*v_p[i0] for all i, i0 the first nonzero index
+    of v_p.  Then v_p = lambda*F_T, so the vector equation
+    s_e*v_p*den_K == W_e*F_T*den_T holds exactly when its entry i0 does,
+    one integer equation per leaf.  Leaves have distinct exponents, so
+    the monomial sets agree when every leaf is a live Koszul monomial and
+    the two counts are equal.
+    """
+    korder, fs, (rows, counts), kden = koszul_parts
+    n, level, tden = walk
+    m = lcm(korder, n)
+    if korder != m:
+        fs = [None if f is None else _lift_num(korder, m, f) for f in fs]
+    leaves = 0
+    for vec, monos in level:
+        # with no columns the prefix is the empty product, 1 in Q (n = 1)
+        v = _lift_num(n, m, vec or (1,))
+        i0 = next(i for i, x in enumerate(v) if x)
+        v0 = v[i0]
+        a = v0 * kden
+        # support mask -> F_T[i0] * den_T, once v_p and F_T are proportional
+        met = {}
+        for e, scale, _ in monos:
+            row = rows.get(e)
+            if row is None:
+                return False
+            mask, w = row
+            b = met.get(mask)
+            if b is None:
+                f = fs[mask]
+                if f is None:
+                    return False
+                f0 = f[i0]
+                if any(x * f0 != y * v0 for x, y in zip(v, f)):
+                    return False
+                b = met[mask] = f0 * tden
+            if scale * a != w * b:
+                return False
+        leaves += len(monos)
+    return leaves == sum(c for c, f in zip(counts, fs) if f is not None)
+
+
 def zero_section_identity(model: NormalModel) -> ZeroSectionReport:
-    """koszul_ch(model) = (prod of zeta=1 variables) * invert_unit(todd)."""
+    """koszul_ch(model) = (prod of zeta=1 variables) * invert_unit(todd).
+
+    Decided on the factored forms (`_factored_agree`); both sides are
+    flattened only when read, or on a mismatch, for first_difference.
+    """
     lhs = koszul_ch(model)
     euler_exps = [0] * model.num_vars
     one = Cyclotomic.one()
@@ -738,8 +860,10 @@ def zero_section_identity(model: NormalModel) -> ZeroSectionReport:
             % (model.trunc_degree, sum(euler_exps))
         )
     rhs = _shift(invert_unit(todd_delocalized(model)), euler_exps)
-    # expand the inverse here, so that a trace puts it outside first_difference
-    rhs._int_form()
+    walk = _walk_prefixes(rhs.num_vars, rhs.trunc_degree, rhs.factors)
+    rhs._pending = (_flatten_prefixes, walk)
+    if _factored_agree(lhs._pending[1], walk):
+        return ZeroSectionReport(True, lhs, rhs)
     diff = first_difference(lhs, rhs)
     return ZeroSectionReport(diff is None, lhs, rhs, diff)
 

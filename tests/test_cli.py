@@ -545,6 +545,34 @@ def test_load_refuses_at_the_field_it_reads(tmp_path, capsys, doc, message, poin
     assert captured.err == "load error: %s (at %s)\n" % (message, pointer)
 
 
+def _refused_group_pointer(tmp_path, capsys, name):
+    """The pointer of the load error of a group `name` declared {"cyclic": 0}."""
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"groups": {name: {"cyclic": 0}}}))
+    assert main(["inertia", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("load error: group order must be between 1 and 48 (at ")
+    return err[err.rindex("(at ") + 4:].rstrip(")\n")
+
+
+@pytest.mark.parametrize(
+    "name,token", [("a/b", "a~1b"), ("a/", "a~1"), ("/", "~1")],
+    ids=["inner", "trailing", "alone"],
+)
+def test_load_error_pointer_escapes_slash(tmp_path, capsys, name, token):
+    assert _refused_group_pointer(tmp_path, capsys, name) == "/groups/%s/cyclic" % token
+
+
+@pytest.mark.parametrize(
+    "name,token",
+    # "~" is escaped before "/", so "~1" in a name stays two characters
+    [("a~b", "a~0b"), ("a~1", "a~01"), ("~/", "~0~1")],
+    ids=["inner", "escape_lookalike", "with_slash"],
+)
+def test_load_error_pointer_escapes_tilde(tmp_path, capsys, name, token):
+    assert _refused_group_pointer(tmp_path, capsys, name) == "/groups/%s/cyclic" % token
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     import os
     import subprocess

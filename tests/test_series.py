@@ -444,6 +444,9 @@ def test_koszul_single_line_is_definition():
         },
     )
     assert got == want
+    # a series not yet flattened, and with no columns, shifts its flat form
+    shifted = series._shift(koszul_ch(NormalModel([(zeta, 0)], 3)), (1,))
+    assert shifted == series._shift(want, (1,))
 
 
 def test_koszul_empty_model_is_one():
@@ -467,7 +470,12 @@ def test_koszul_agrees_with_factor_product():
 @pytest.fixture
 def fresh_caches():
     """Empty the column and table caches, so no cached value hides a mutant."""
-    caches = (series._todd_line, series._univar_inverse, series._koszul_table)
+    caches = (
+        series._todd_line,
+        series._univar_inverse,
+        series._koszul_table,
+        series._column_split,
+    )
     for cache in caches:
         cache.cache_clear()
     yield
@@ -605,15 +613,8 @@ def _comparison_pairs(seed):
     monomial removed.
     """
     rng = random.Random(seed)
-    models = [m for m in _mu12_models(seed, 10) if _euler_fits(m)] + [
-        # all zeta = 1: a Koszul side of order 12 against a rational Todd side
-        NormalModel([(E(12, 0), 0), (E(12, 0), 1)], 4),
-        NormalModel([(E(7, 1), 0), (E(11, 3), 1)], 3),
-        NormalModel([(E(5, 2), 0), (1, 1), (E(8, 5), 2)], 4),
-        NormalModel([(-1, 0), (E(9, 2), 1)], 5),
-    ]
     pairs = []
-    for model in models:
+    for model in _comparison_models(seed):
         report = zero_section_identity(model)
         lhs, rhs = report.lhs, report.rhs
         pairs.append(("sides", lhs, rhs))
@@ -641,6 +642,16 @@ def _comparison_pairs(seed):
     for _, a, b in pairs:
         a.coeffs, b.coeffs
     return pairs
+
+
+def _comparison_models(seed):
+    return [m for m in _mu12_models(seed, 10) if _euler_fits(m)] + [
+        # all zeta = 1: a Koszul side of order 12 against a rational Todd side
+        NormalModel([(E(12, 0), 0), (E(12, 0), 1)], 4),
+        NormalModel([(E(7, 1), 0), (E(11, 3), 1)], 3),
+        NormalModel([(E(5, 2), 0), (1, 1), (E(8, 5), 2)], 4),
+        NormalModel([(-1, 0), (E(9, 2), 1)], 5),
+    ]
 
 
 def _euler_fits(model):
@@ -714,6 +725,153 @@ def test_code_mutant_fails_integer_verdict(monkeypatch, name, mutant, exposed):
     assert want <= errors, "mutant of %s survived %d pairs" % (name, len(want - errors))
 
 
+def _all_mu12_models():
+    """Every multiset of at most four eigenvalues in mu_12, one line each, D = 6."""
+    for k in range(1, 5):
+        for combo in itertools.combinations_with_replacement(range(12), k):
+            yield NormalModel([(E(12, c), j) for j, c in enumerate(combo)], 6)
+
+
+def _factored_sides(model):
+    """(Koszul side, Euler * Todd^-1 side, koszul_ch's parts, prefix walk)
+    of a passing identity, taken before either side is flattened."""
+    report = zero_section_identity(model)
+    assert report.passed, model
+    lhs, rhs = report.lhs, report.rhs
+    return lhs, rhs, lhs._pending[1], rhs._pending[1]
+
+
+def _lifted(kparts, walk, k):
+    """Both factored forms with every vector lifted into a field k times larger."""
+    order, fs, table, kden = kparts
+    n, level, tden = walk
+    fs = [f and _lift_num(order, k * order, f) for f in fs]
+    level = [(_lift_num(n, k * n, vec), monos) for vec, monos in level]
+    return (k * order, fs, table, kden), (k * n, level, tden)
+
+
+def test_factored_verdict_matches_flat_verdict():
+    orders = set()
+    count = 0
+    for model in _all_mu12_models():
+        lhs, rhs, kparts, walk = _factored_sides(model)
+        assert series._factored_agree(kparts, walk), model
+        assert series._int_agree(lhs, rhs), model
+        count += 1
+    assert count == 1819
+    for model in _comparison_models(0xC0DE):
+        lhs, rhs, kparts, walk = _factored_sides(model)
+        assert series._factored_agree(kparts, walk), model
+        # either side in a larger field than the other, both lifted to one
+        lifted_k, lifted_w = _lifted(kparts, walk, 5)
+        assert series._factored_agree(lifted_k, walk), model
+        assert series._factored_agree(kparts, lifted_w), model
+        assert series._int_agree(lhs, rhs), model
+        orders.add((lhs._int_form()[0], rhs._int_form()[0]))
+    assert (12, 1) in orders and (77, 77) in orders
+
+
+def _bump(vec, rng):
+    """vec with one entry moved by one, kept nonzero."""
+    out = list(vec)
+    i, step = rng.randrange(len(out)), rng.choice((-1, 1))
+    out[i] += step
+    if not any(out):
+        out[i] += 2 * step
+    return out
+
+
+def _koszul_weight(kparts, walk, rng):
+    order, fs, (rows, counts), den = kparts
+    live = sorted(e for e, (mask, _) in rows.items() if fs[mask] is not None)
+    e = rng.choice(live)
+    mask, w = rows[e]
+    rows = dict(rows)
+    rows[e] = (mask, w + rng.choice((-1, 1)) or 2 * w)
+    return (order, fs, (rows, counts), den), walk
+
+
+def _support_entry(kparts, walk, rng):
+    order, fs, (rows, counts), den = kparts
+    used = [T for T, f in enumerate(fs) if f is not None and counts[T]]
+    fs = list(fs)
+    T = rng.choice(used)
+    fs[T] = _bump(fs[T], rng)
+    return (order, fs, (rows, counts), den), walk
+
+
+def _one_leaf(walk, rng, change):
+    """walk with one random leaf replaced by change(leaf), or dropped if None."""
+    n, level, den = walk
+    level = list(level)
+    p = rng.randrange(len(level))
+    vec, monos = level[p]
+    monos = list(monos)
+    i = rng.randrange(len(monos))
+    leaf = change(monos[i])
+    if leaf is None:
+        del monos[i]
+    else:
+        monos[i] = leaf
+    level[p] = (vec, monos)
+    return n, level, den
+
+
+def _leaf_scale(kparts, walk, rng):
+    step = rng.choice((-1, 1))
+
+    def rescaled(leaf):
+        e, scale, budget = leaf
+        return e, scale + step or 2 * scale, budget
+
+    return kparts, _one_leaf(walk, rng, rescaled)
+
+
+def _prefix_entry(kparts, walk, rng):
+    n, level, den = walk
+    level = list(level)
+    p = rng.randrange(len(level))
+    vec, monos = level[p]
+    level[p] = (_bump(vec, rng), monos)
+    return kparts, (n, level, den)
+
+
+def _moved_leaf(kparts, walk, rng):
+    """One leaf's exponent moved past the truncation, where Koszul has none."""
+    return kparts, _one_leaf(walk, rng, lambda leaf: ((leaf[0][0] + 7,) + leaf[0][1:],) + leaf[1:])
+
+
+def _dropped_leaf(kparts, walk, rng):
+    return kparts, _one_leaf(walk, rng, lambda leaf: None)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_koszul_weight, _support_entry, _leaf_scale, _prefix_entry, _moved_leaf, _dropped_leaf],
+    ids=[
+        "koszul_weight",
+        "support_entry",
+        "leaf_scale",
+        "prefix_entry",
+        "moved_leaf",
+        "dropped_leaf",
+    ],
+)
+def test_factored_verdict_kills_seeded_mutants(mutate):
+    """One wrong number in either factored form is a mismatch, and the flat
+    forms of the mutant disagree too, so the two verdicts stay equal."""
+    rng = random.Random(0xFAC7)
+    models = [m for m in _mu12_models(0xFAC7, 240) if _euler_fits(m)][:200]
+    assert len(models) == 200
+    for model in models:
+        lhs, rhs, kparts, walk = _factored_sides(model)
+        kmut, wmut = mutate(kparts, walk, rng)
+        assert not series._factored_agree(kmut, wmut), (mutate.__name__, model)
+        flat_k = _with_ints(lhs, *series._flatten_koszul(kmut))
+        flat_t = _with_ints(rhs, *series._flatten_prefixes(wmut))
+        assert not series._int_agree(flat_k, flat_t), (mutate.__name__, model)
+
+
 def test_zero_section_identity_builds_no_coefficient(monkeypatch):
     calls = []
 
@@ -733,10 +891,18 @@ def test_zero_section_identity_builds_no_coefficient(monkeypatch):
         counts[d] = len(calls)
         del calls[:]
         assert report.passed
-        # one value read is one _make; the dicts are still not built
+        # a passing verdict flattens neither side
+        assert report.lhs._ints is None and report.rhs._ints is None
+        # one value read is one _make, and flattens only the side it reads;
+        # the dicts are still not built
         euler = (0, 1, 1, 0)
-        lhs, rhs = report.lhs.coefficient(euler), report.rhs.coefficient(euler)
+        lhs = report.lhs.coefficient(euler)
+        assert len(calls) == 1
+        assert report.lhs._ints is not None and report.lhs._pending is None
+        assert report.rhs._ints is None
+        rhs = report.rhs.coefficient(euler)
         assert len(calls) == 2
+        assert report.rhs._ints is not None and report.rhs._pending is None
         assert lhs == rhs != 0
         assert report.lhs._coeffs is None and report.rhs._coeffs is None
         monkeypatch.undo()
