@@ -65,6 +65,9 @@ MAX_NESTING = 100
 # cap on the degree phi(L) of the field Q(zeta_L) of one file: L is the lcm
 # of the orders of its values and of the exponents of its represented groups
 MAX_FIELD_DEGREE = 16
+# cap on the points k of one permutation representation: its check multiplies
+# |G|^2 pairs of k x k matrices, 0.4-0.6 s at 16 points over order 48
+MAX_POINTS = 16
 
 # formula knobs: the allowed values, the default first
 _KNOBS = {
@@ -468,6 +471,9 @@ def _load_representation(body):
     perm = body.get("permutation")
     if perm is not None:
         rows = perm.list(n, "need one image row per group element")
+        for r in rows:
+            if len(r.list()) > MAX_POINTS:
+                r.fail("image row exceeds the cap of %d points" % MAX_POINTS)
         k = len(rows[group.identity].list())
         message = "image row must list %d point indices" % k
         return body.build(Representation.permutation, group, [r.ints(k, k, message) for r in rows])

@@ -22,7 +22,11 @@ and are never descended automatically.  The scalar fast paths keep that
 rule: a sum with a zero returns the other operand only when the zero's
 order divides the other's, a rational is added into `num[0]` of the
 other operand without a lift, and an int or Fraction factor scales the
-numerators directly.  Integers are unbounded throughout; floats are
+numerators directly.  Two rationals, or a rational and an int or
+Fraction factor, take the rational path: the sum, difference, product or
+equality is worked out on the two integers p/q and built by `_rat`, with
+one gcd and none over a denominator of 1; an integer in [-256, 256] comes
+back as one shared value.  Integers are unbounded throughout; floats are
 rejected.
 """
 
@@ -270,7 +274,7 @@ class Cyclotomic:
             raise TypeError("floats are not exact; use Fraction or int")
         if not isinstance(q, (int, Fraction)):
             q = Fraction(q)
-        return _make(1, (q.numerator,), q.denominator)
+        return _rat(q.numerator, q.denominator)
 
     @staticmethod
     def root_of_unity(n: int, k: int = 1) -> "Cyclotomic":
@@ -321,6 +325,11 @@ class Cyclotomic:
             return self
         if not any(a) and m % n == 0:
             return other
+        if n == m == 1:
+            p, q = a[0], b[0]
+            if da == db:
+                return _rat(p + q, da)
+            return _rat(p * db + q * da, da * db)
         if n != m:
             if m == 1:
                 return _add_rational(n, a, da, b[0], db)
@@ -340,9 +349,16 @@ class Cyclotomic:
         return _make(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Cyclotomic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.order == other.order == 1:
+            p, q = self.num[0], other.num[0]
+            da, db = self.den, other.den
+            if da == db:
+                return _rat(p - q, da)
+            return _rat(p * db - q * da, da * db)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -359,10 +375,15 @@ class Cyclotomic:
             if not p:
                 return _ZERO
             den = other.denominator * self.den
+            if self.order == 1:
+                return _rat(p * self.num[0], den)
             return _make(self.order, [p * c for c in self.num], den)
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if t is not Cyclotomic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.order == other.order == 1:
+            return _rat(self.num[0] * other.num[0], self.den * other.den)
         if self.order == 1 or other.order == 1:
             q, v = (self, other) if self.order == 1 else (other, self)
             p = q.num[0]
@@ -412,9 +433,18 @@ class Cyclotomic:
         return _make(n, _galois(n, self.num, n - 1), self.den)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        t = type(other)
+        if t is int or t is Fraction:
+            # a rational's coordinates are (p, 0, ..., 0) over q in every field
+            return (
+                self.num[0] == other.numerator
+                and self.den == other.denominator
+                and not any(self.num[1:])
+            )
+        if t is not Cyclotomic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         if self.order != other.order:
             self, other = self._common(other)
         return self.num == other.num and self.den == other.den
@@ -464,11 +494,13 @@ class Cyclotomic:
 
     def __complex__(self):
         w = cmath.exp(2j * cmath.pi / self.order)
+        den = self.den
         acc = 0j
         pw = 1 + 0j
-        for c in self.coeffs:
-            if c:
-                acc += float(c) * pw
+        # int / int is correctly rounded, so x / den is float(Fraction(x, den))
+        for x in self.num:
+            if x:
+                acc += (x / den) * pw
             pw *= w
         return acc
 
@@ -511,6 +543,24 @@ class Cyclotomic:
 _new = object.__new__
 
 
+def _rat(p, q) -> Cyclotomic:
+    """The rational p/q at order 1, q > 0: one gcd, and only when q != 1.
+    An integer in [-256, 256] is one shared value."""
+    if q != 1:
+        g = math.gcd(p, q)
+        if g != 1:
+            p //= g
+            q //= g
+    if q == 1 and -256 <= p <= 256:
+        return _SMALL_INTS[p + 256]
+    v = _new(Cyclotomic)
+    v.order = 1
+    v.num = (p,)
+    v.den = q
+    v._min = None
+    return v
+
+
 def _add_rational(n, num, den, p, q) -> Cyclotomic:
     """num/den in Q(zeta_n) plus the rational p/q: p goes into num[0]."""
     if den == q:
@@ -551,9 +601,10 @@ def _coerce(x):
     if isinstance(x, Cyclotomic):
         return x
     if isinstance(x, (int, Fraction)):
-        return _make(1, (x.numerator,), x.denominator)
+        return _rat(x.numerator, x.denominator)
     return None
 
 
-_ZERO = _make(1, (0,), 1)
-_ONE = _make(1, (1,), 1)
+_SMALL_INTS = [_make(1, (p,), 1) for p in range(-256, 257)]
+_ZERO = _SMALL_INTS[256]
+_ONE = _SMALL_INTS[257]

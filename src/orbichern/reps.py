@@ -193,12 +193,8 @@ def induced_matrix(emb, rep, h) -> Matrix:
         hj = t.mul(h, reps_[j])
         i = coset_of[hj]
         s = emb.preimage[t.mul(t.inv(reps_[i]), hj)]
-        m = rep.mats[s]
-        for r in range(d):
-            mrow = m.rows[r]
-            row = rows[i * d + r]
-            for c in range(d):
-                row[j * d + c] = mrow[c]
+        for r, mrow in enumerate(rep.mats[s].rows):
+            rows[i * d + r][j * d:(j + 1) * d] = mrow
     return Matrix._trusted(tuple(map(tuple, rows)), index * d)
 
 
@@ -254,7 +250,8 @@ class VirtualCharacter:
             return VirtualCharacter._trusted(
                 self.group, tuple(a * b for a, b in zip(self.values, other.values))
             )
-        return VirtualCharacter(self.group, tuple(a * other for a in self.values))
+        c = cyc(other)
+        return VirtualCharacter._trusted(self.group, tuple(a * c for a in self.values))
 
     __rmul__ = __mul__
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import Cyclotomic
 from .linalg import Matrix
@@ -124,8 +125,16 @@ class CheckReport:
 
 # Entries are joined from lists, not from generators or map(str, ...): on
 # CPython 3.11 a list comprehension of str(v) is the fastest of the three.
+#
+# A FiniteGroup and a Representation hash by identity (neither defines
+# __eq__), so the text of each is built once per object.  A
+# representation's text is cached under its matrix tuple as well: its
+# slots may be rebound (reps._Flagged), and new matrices get a new text.
+# A Matrix hashes by its shape and compares entry by entry, so its text is
+# not cached.
 
 
+@lru_cache(maxsize=256)
 def _group_key(group):
     return ";".join([",".join([str(v) for v in row]) for row in group.table])
 
@@ -137,7 +146,12 @@ def _matrix_key(mat):
 
 
 def _rep_key(rep):
-    return "|".join(_matrix_key(m) for m in rep.mats)
+    return _rep_text(rep, rep.mats)
+
+
+@lru_cache(maxsize=1024)
+def _rep_text(rep, mats):
+    return "|".join(_matrix_key(m) for m in mats)
 
 
 def _complex_key(cx):
@@ -322,7 +336,7 @@ def pushforward_characters(emb, chi, weight="centralizer"):
         else:
             raise ValueError("unknown weight convention %r" % (weight,))
         values[t] = values[t] + chi.values[c] * w
-    return VirtualCharacter(emb.target, values)
+    return VirtualCharacter._trusted(emb.target, tuple(values))
 
 
 def _induced_supertrace_at(emb, cx, h):

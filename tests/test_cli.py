@@ -440,6 +440,59 @@ def test_load_permutation_representation():
     assert str(err.value) == "multiplicativity fails at pair (1, 2) (at /representations/P)"
 
 
+def _cyclic_images(order, orbits):
+    """C_order acting by translation on consecutive orbits of the given sizes."""
+    images = []
+    for g in range(order):
+        row, base = [], 0
+        for size in orbits:
+            row += [base + (x + g) % size for x in range(size)]
+            base += size
+        images.append(row)
+    return images
+
+
+def test_permutation_points_cap_admits_its_bound():
+    """The worst file at the cap: order 48 acting on MAX_POINTS points, whose
+    check multiplies 48^2 pairs of 16 x 16 matrices."""
+    assert cli.MAX_POINTS == 16
+    doc = {
+        "groups": {"C48": {"cyclic": 48}},
+        "representations": {"P": {"group": "C48", "permutation": _cyclic_images(48, (8, 8))}},
+    }
+    perm = parse_scenario(doc).representations["P"]
+    assert perm.dim == cli.MAX_POINTS and perm.validated
+
+
+@pytest.mark.parametrize(
+    "order, orbits, long_row",
+    [
+        (48, (8, 8, 1), 0),  # one point past the cap, every row
+        (2, (2,) * 500, 0),  # 1000 points over C2
+        (2, (2,), 1),  # a short identity row, a long row after it
+    ],
+    ids=["order_48", "c2_1000_points", "second_row"],
+)
+def test_permutation_points_cap_refuses_a_longer_row(monkeypatch, order, orbits, long_row):
+    images = _cyclic_images(order, orbits)
+    if long_row:
+        images[long_row] = list(range(cli.MAX_POINTS + 1))
+    doc = {
+        "groups": {"C": {"cyclic": order}},
+        "representations": {"P": {"group": "C", "permutation": images}},
+    }
+    built = []
+    monkeypatch.setattr(
+        cli.Representation, "permutation", staticmethod(lambda *args: built.append(args))
+    )
+    with pytest.raises(LoadError) as err:
+        parse_scenario(doc)
+    assert str(err.value) == "image row exceeds the cap of %d points (at %s)" % (
+        cli.MAX_POINTS, "/representations/P/permutation/%d" % long_row
+    )
+    assert not built
+
+
 def test_load_embedding_by_elements_registers_its_source():
     groups = {"S3": {"symmetric": 3}}
     emb = {"target": "S3", "elements": [0, 3, 4], "register_source": "C3"}

@@ -423,3 +423,152 @@ def test_printer_byte_identical_to_oracle():
     for _ in range(300):
         new, old = _oracle_pair(rng)
         assert str(new) == str(old)
+
+
+# -- the rational path against the oracle -----------------------------------
+
+_DENS = (1, 1, 2, 3, 4, 6, 9, 12, 35)
+
+
+def _rational(rng, den=None):
+    """A seeded rational as (Fraction, Cyclotomic, oracle value); one in
+    eight is zero, and ``den`` fixes the reduced denominator."""
+    if den is None:
+        den = rng.choice(_DENS)
+    if rng.random() < 0.125:
+        q = Fraction(0)
+    else:
+        k = rng.choice([k for k in range(-60, 61) if k and math.gcd(k, den) == 1])
+        q = Fraction(k, den)
+    return q, Cyclotomic.from_rational(q), oracle.Cyclotomic.from_rational(q)
+
+
+def _rational_same(new, old, q):
+    """new is the canonical order-1 form of q, equal to the oracle's value,
+    and hashes and compares as the Fraction q."""
+    return (
+        _same(new, old)
+        and (new.order, new.num, new.den) == (1, (q.numerator,), q.denominator)
+        and hash(new) == hash(q)
+        and new == q
+        and (q.denominator != 1 or new == int(q))
+    )
+
+
+def test_rational_path_matches_oracle(monkeypatch):
+    rng = random.Random(0x7A71)
+    cases = []
+    for i in range(600):
+        p, a, oa = _rational(rng)
+        # every third pair shares its reduced denominator
+        q, b, ob = _rational(rng, p.denominator if i % 3 == 0 and p else None)
+        k = rng.randint(-9, 9)
+        f = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+        cases.append((p, a, oa, q, b, ob, k, f))
+    assert sum(1 for c in cases if c[1].den == c[4].den != 1) > 100
+
+    def made(*args):
+        raise AssertionError("a rational operation went through _make")
+
+    monkeypatch.setattr(exactnum, "_make", made)
+    for p, a, oa, q, b, ob, k, f in cases:
+        assert _rational_same(a + b, oa + ob, p + q)
+        assert _rational_same(a - b, oa - ob, p - q)
+        assert _rational_same(a * b, oa * ob, p * q)
+        assert _rational_same(a * k, oa * k, p * k) and _rational_same(k * a, k * oa, p * k)
+        assert _rational_same(a * f, oa * f, p * f) and _rational_same(f * a, f * oa, p * f)
+        assert (a == b) == (p == q) and (a == f) == (p == f) and (a == k) == (p == k)
+        assert (a != b) == (p != q)
+
+
+def test_rational_path_shares_small_integers():
+    """An integer result in [-256, 256] of the rational path is one shared
+    value, also when a gcd brings its denominator down to 1."""
+    rng = random.Random(0x7A74)
+    nonzero = [k for k in range(-300, 301) if k]
+    for _ in range(300):
+        p, q = rng.choice(nonzero), rng.choice(nonzero)
+        a, b = Cyclotomic.from_rational(p), Cyclotomic.from_rational(q)
+        seventh = Cyclotomic.from_rational(Fraction(p, 7))
+        for new, want in (
+            (a + b, p + q), (a - b, p - q), (a * b, p * q), (a * q, p * q),
+            (seventh * 7, p), (seventh + Fraction(q, 7), Fraction(p + q, 7)),
+        ):
+            shared = exactnum._SMALL_INTS[int(want) + 256] if want in range(-256, 257) else None
+            assert new == want and (new is shared) == (shared is not None)
+
+
+def test_rational_path_with_mixed_orders_matches_oracle():
+    rng = random.Random(0x7A72)
+    for _ in range(250):
+        p, a, oa = _rational(rng)
+        v, ov = _oracle_pair(rng)
+        for new, old in (
+            (a + v, oa + ov), (v + a, ov + oa), (a - v, oa - ov), (v - a, ov - oa),
+            (a * v, oa * ov), (v * a, ov * oa),
+        ):
+            assert _same(new, old)
+        assert (a == v) == (oa == ov) and (v == p) == (ov == oa)
+    # an int or Fraction equals only a rational value, whatever its num[0]
+    for v, head in ((E(4) + Fraction(1, 3), Fraction(1, 3)), (E(12) - 2, -2), (E(3) * 5, 0)):
+        assert (v.num[0], v.den) == (head.numerator, head.denominator)
+        assert v != head and not v == head and v - E(v.order) * v.num[1] / v.den == head
+
+
+def test_rational_path_keeps_the_zero_identity():
+    rng = random.Random(0x7A73)
+    z1, z12 = Cyclotomic.zero(), Cyclotomic(12, [])
+    for _ in range(50):
+        p, a, oa = _rational(rng)
+        # an order-1 zero divides order 1: the other operand comes back,
+        # and z1 itself when both are zero
+        assert z1 + a is (a if p else z1) and a + z1 is a
+        assert _rational_same(a - z1, oa, p) and _rational_same(z1 - a, -oa, -p)
+        # a zero of order 12 keeps the sum at order 12
+        for s in (z12 + a, a + z12):
+            assert s.order == 12 and (s.num, s.den) == ((p.numerator, 0, 0, 0), p.denominator)
+        assert _rational_same(a * 0, oa * 0, Fraction(0))
+        assert _rational_same(a * z1, oa * 0, Fraction(0))
+
+
+# -- complex() on the integer numerators --------------------------------------
+
+
+def _complex_by_fractions(v):
+    """complex(v) as it was computed on Fraction coordinates."""
+    w = cmath.exp(2j * cmath.pi / v.order)
+    acc = 0j
+    pw = 1 + 0j
+    for c in v.coeffs:
+        if c:
+            acc += float(c) * pw
+        pw *= w
+    return acc
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_complex_is_bit_identical_to_the_fraction_route():
+    rng = random.Random(0xC0A1)
+    orders = list(range(1, 25)) + [30, 36, 48, 60, 97]
+    for i in range(1500):
+        order = rng.choice(orders)
+        digits = rng.choice((1, 3, 20, 300)) if i % 5 else 300
+        top = 10**digits
+        num = [rng.randint(-top, top) if rng.random() < 0.7 else 0 for _ in range(euler_phi(order))]
+        den = rng.randint(1, 10 ** rng.choice((1, 3, 20, 300)))
+        if math.gcd(den, *num) != 1:
+            continue
+        v = _make(order, num, den)
+        assert _bits(complex(v)) == _bits(_complex_by_fractions(v)), (order, num, den)
+
+
+def test_complex_builds_no_fraction(monkeypatch):
+    values = [E(12) + Fraction(1, 3), Cyclotomic.from_rational(Fraction(-7, 6)), E(97, 5) / 7]
+    built = []
+    monkeypatch.setattr(exactnum, "Fraction", lambda *args: built.append(args))
+    for v in values:
+        complex(v)
+    assert not built

@@ -22,6 +22,7 @@ from orbichern.reps import (
     restricted_character,
     tensor,
 )
+from orbichern.rrg import pushforward_characters
 
 import cyclotomic_oracle as oracle
 from randgen import corpus_groups
@@ -336,6 +337,10 @@ def test_trusted_characters_equal_public_constructions():
         character(induce(emb, perm)),
         restricted_character(emb, chi),
         induced_character_sum(emb, small),
+        pushforward_characters(emb, small),
+        chi * 3,
+        Fraction(-2, 5) * chi,
+        chi * Cyclotomic.root_of_unity(4),
     ]
     for c in built:
         public = VirtualCharacter(c.group, c.values)
@@ -347,3 +352,27 @@ def test_trusted_characters_equal_public_constructions():
     for h in group.elements():
         m = induced_matrix(emb, perm, h)
         assert m == Matrix(m.rows, ncols=m.ncols) == ind.mats[h]
+
+
+def test_scalar_multiple_skips_the_checked_constructor(monkeypatch):
+    """A scalar factor is coerced once and the product built through
+    `_trusted`; a factor that is not a number still raises TypeError."""
+    chi = _seeded_class_function(random.Random(0x5CA1), corpus_groups()["S4"])
+
+    def checked(*args):
+        raise AssertionError("a scalar multiple went through the checked constructor")
+
+    monkeypatch.setattr(VirtualCharacter, "__init__", checked)
+    factors = (
+        3, -1, 0, True, Fraction(-2, 5),
+        Cyclotomic.from_rational(Fraction(7, 3)), Cyclotomic.root_of_unity(12, 5),
+    )
+    for c in factors:
+        want = tuple(v * c for v in chi.values)
+        assert (chi * c).values == want and (c * chi).values == want
+        assert all(type(v) is Cyclotomic for v in (chi * c).values)
+    for bad in ("x", 1.5, None, [1]):
+        with pytest.raises(TypeError):
+            chi * bad
+        with pytest.raises(TypeError):
+            bad * chi

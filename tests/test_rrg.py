@@ -309,6 +309,45 @@ def test_scenario_hash_text_matches_generator_keys():
         assert rrg._matrix_key(mat) == _generator_matrix_key(mat)
 
 
+@pytest.fixture
+def fresh_key_caches():
+    """Empty the scenario-key caches, so the counts start from nothing."""
+    caches = (rrg._group_key, rrg._rep_text)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_scenario_keys_are_built_once_per_object(fresh_key_caches, s3, c2_in_s3):
+    """Two scenarios over the same embedding and chart build each group's
+    and the chart's text once; the texts match the generator keys."""
+    sub, emb = c2_in_s3
+    rng = random.Random(0x4E75)
+    chart = random_rep(rng, s3, max_dim=3)
+    first, second = (
+        IsoSpatialScenario(emb, chart, random_complex(rng, sub, max_dim=2, summands=2))
+        for _ in range(2)
+    )
+    pieces = [{id(p) for p in sc.complex.pieces} for sc in (first, second)]
+    assert first.hash() == rrg.content_hash(*_generator_iso_parts(first))
+    assert rrg._group_key.cache_info().misses == 2
+    assert rrg._rep_text.cache_info().misses == 1 + len(pieces[0])
+    assert second.hash() == rrg.content_hash(*_generator_iso_parts(second))
+    assert first.hash() == rrg.content_hash(*_generator_iso_parts(first))
+    assert rrg._group_key.cache_info().misses == 2
+    assert rrg._rep_text.cache_info().misses == 1 + len(pieces[0] | pieces[1])
+
+
+def test_rebound_matrices_get_a_fresh_scenario_key(fresh_key_caches, s3):
+    rep = Representation.trivial(s3)
+    before = rrg._rep_key(rep)
+    assert before == _generator_rep_key(rep)
+    rep.mats = Representation.trivial(s3, 2).mats
+    assert rrg._rep_key(rep) == _generator_rep_key(rep) != before
+
+
 # -- zero section -----------------------------------------------------------
 
 
